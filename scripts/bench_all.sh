@@ -38,6 +38,7 @@ benches=(
   ext_multitenant
   ext_overload
   ext_cache
+  ext_repair
 )
 
 for bench in "${benches[@]}"; do

@@ -55,7 +55,7 @@ struct DrtEntry {
   bool dirty = false;
   /// Failover copy of the region this entry points into ("" = unreplicated).
   /// Persisted: a replica recorded in the DRT survives restarts with it.
-  std::string replica_file;
+  std::string replica_file{};
 
   friend bool operator==(const DrtEntry&, const DrtEntry&) = default;
 };

@@ -145,18 +145,8 @@ common::Status OnlineMha::roll_back() {
   for (const DrtEntry& entry : entries) {
     auto region = pfs_->open(entry.r_file);
     if (!region.is_ok()) return region.status();
-    common::ByteCount moved = 0;
-    while (moved < entry.length) {
-      const common::ByteCount piece = std::min<common::ByteCount>(kChunk, entry.length - moved);
-      buffer.resize(piece);
-      auto r = pfs_->read(*region, entry.r_offset + moved, buffer.data(), piece, clock);
-      if (!r.is_ok()) return r.status();
-      auto w = pfs_->write(*original, entry.o_offset + moved, buffer.data(), piece,
-                           r->completion);
-      if (!w.is_ok()) return w.status();
-      clock = w->completion;
-      moved += piece;
-    }
+    MHA_RETURN_IF_ERROR(pfs::copy_range(*pfs_, *region, entry.r_offset, *original,
+                                        entry.o_offset, entry.length, kChunk, buffer, clock));
   }
   if (crash_at("foldback-copied")) {
     return common::Status::io_error("injected crash at foldback-copied");

@@ -97,19 +97,9 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
     if (target == region_ids.end()) {
       return common::Status::corruption("placer: DRT names unknown region " + entry.r_file);
     }
-    common::ByteCount moved = 0;
-    while (moved < entry.length) {
-      const common::ByteCount piece =
-          std::min<common::ByteCount>(options.chunk, entry.length - moved);
-      buffer.resize(piece);
-      auto read = pfs.read(*original, entry.o_offset + moved, buffer.data(), piece, clock);
-      if (!read.is_ok()) return read.status();
-      auto write = pfs.write(target->second, entry.r_offset + moved, buffer.data(), piece,
-                             read->completion);
-      if (!write.is_ok()) return write.status();
-      clock = write->completion;
-      moved += piece;
-    }
+    MHA_RETURN_IF_ERROR(pfs::copy_range(pfs, *original, entry.o_offset, target->second,
+                                        entry.r_offset, entry.length, options.chunk, buffer,
+                                        clock));
     if (journal != nullptr) {
       MHA_RETURN_IF_ERROR(journal->set_copy_progress(e, entry.length));
     }
@@ -164,18 +154,8 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
       auto replica = pfs.create_file(replica_name, std::move(layout).take());
       if (!replica.is_ok()) return replica.status();
       const common::FileId source = region_ids.at(region.name);
-      common::ByteCount copied = 0;
-      while (copied < region.length) {
-        const common::ByteCount piece =
-            std::min<common::ByteCount>(options.chunk, region.length - copied);
-        buffer.resize(piece);
-        auto read = pfs.read(source, copied, buffer.data(), piece, clock);
-        if (!read.is_ok()) return read.status();
-        auto write = pfs.write(*replica, copied, buffer.data(), piece, read->completion);
-        if (!write.is_ok()) return write.status();
-        clock = write->completion;
-        copied += piece;
-      }
+      MHA_RETURN_IF_ERROR(pfs::copy_range(pfs, source, 0, *replica, 0, region.length,
+                                          options.chunk, buffer, clock));
       replica_load[best] += region.length;
       report.replica_pairs.emplace_back(region.name, replica_name);
       ++report.replicas_created;

@@ -1,6 +1,5 @@
 #include "core/recovery.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/log.hpp"
@@ -9,28 +8,9 @@ namespace mha::core {
 
 namespace {
 
+/// Copy piece size on the recovery timeline (recovery is offline; its
+/// traffic is not measured).
 constexpr common::ByteCount kChunk = 4 * 1024 * 1024;
-
-/// Chunked byte copy `from[from_offset ...]` -> `to[to_offset ...]` on the
-/// recovery timeline (recovery is offline; its traffic is not measured).
-common::Status copy_range(pfs::HybridPfs& pfs, common::FileId from,
-                          common::Offset from_offset, common::FileId to,
-                          common::Offset to_offset, common::ByteCount length,
-                          common::Seconds& clock) {
-  std::vector<std::uint8_t> buffer;
-  common::ByteCount moved = 0;
-  while (moved < length) {
-    const common::ByteCount piece = std::min<common::ByteCount>(kChunk, length - moved);
-    buffer.resize(piece);
-    auto r = pfs.read(from, from_offset + moved, buffer.data(), piece, clock);
-    if (!r.is_ok()) return r.status();
-    auto w = pfs.write(to, to_offset + moved, buffer.data(), piece, r->completion);
-    if (!w.is_ok()) return w.status();
-    clock = w->completion;
-    moved += piece;
-  }
-  return common::Status::ok();
-}
 
 /// Drops every journaled region file that exists on the PFS.
 common::Status drop_regions(pfs::HybridPfs& pfs, const fault::MigrationJournal& journal,
@@ -109,14 +89,16 @@ common::Result<RecoveryReport> recover_migration(pfs::HybridPfs& pfs,
       ++report.regions_created;
     }
     common::Seconds clock = 0.0;
+    std::vector<std::uint8_t> buffer;
     const std::vector<fault::JournalEntry>& entries = journal.entries();
     for (std::size_t e = 0; e < entries.size(); ++e) {
       const fault::JournalEntry& entry = entries[e];
       if (journal.copy_progress(e) >= entry.length) continue;  // already copied
       auto region = pfs.open(entry.r_file);
       if (!region.is_ok()) return region.status();
-      MHA_RETURN_IF_ERROR(copy_range(pfs, *original, entry.o_offset, *region,
-                                     entry.r_offset, entry.length, clock));
+      MHA_RETURN_IF_ERROR(pfs::copy_range(pfs, *original, entry.o_offset, *region,
+                                          entry.r_offset, entry.length, kChunk, buffer,
+                                          clock));
       MHA_RETURN_IF_ERROR(journal.set_copy_progress(e, entry.length));
       report.bytes_copied += entry.length;
     }
@@ -143,11 +125,12 @@ common::Result<RecoveryReport> recover_migration(pfs::HybridPfs& pfs,
   auto original = pfs.open(journal.o_file());
   if (!original.is_ok()) return original.status();
   common::Seconds clock = 0.0;
+  std::vector<std::uint8_t> buffer;
   for (const fault::JournalEntry& entry : journal.entries()) {
     auto region = pfs.open(entry.r_file);
     if (!region.is_ok()) continue;
-    MHA_RETURN_IF_ERROR(copy_range(pfs, *region, entry.r_offset, *original,
-                                   entry.o_offset, entry.length, clock));
+    MHA_RETURN_IF_ERROR(pfs::copy_range(pfs, *region, entry.r_offset, *original,
+                                        entry.o_offset, entry.length, kChunk, buffer, clock));
     report.bytes_copied += entry.length;
   }
   MHA_RETURN_IF_ERROR(drop_regions(pfs, journal, report));

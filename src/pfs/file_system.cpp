@@ -33,10 +33,10 @@ void HybridPfs::set_fault_context(fault::FaultContext* fault) {
 }
 
 void HybridPfs::charge_sub(common::OpType op, std::size_t server, common::ByteCount bytes,
-                           common::Seconds t, IoResult& result) const {
+                           common::Seconds t, common::JobId job, IoResult& result) {
   if (scheduler_ != nullptr) {
     const sched::DispatchResult out =
-        scheduler_->dispatch(row_, {sim::SubRequest{server, op, bytes, active_job_}}, t);
+        scheduler_->dispatch(row_, {sim::SubRequest{server, op, bytes, job}}, t);
     result.completion = std::max(result.completion, out.completion);
     result.sub_requests += out.sub_requests;
     ++result.servers_touched;
@@ -45,14 +45,14 @@ void HybridPfs::charge_sub(common::OpType op, std::size_t server, common::ByteCo
     }
     return;
   }
-  const sim::Charge c = row_.server(server).charge(op, bytes, t, active_job_);
+  const sim::Charge c = row_.server(server).charge(op, bytes, t, job);
   receipts_.push_back(SubCharge{server, c});
   result.completion = std::max(result.completion, c.completion);
   ++result.sub_requests;
   ++result.servers_touched;
 }
 
-void HybridPfs::rewind_receipts() const {
+void HybridPfs::rewind_receipts() {
   for (std::size_t i = receipts_.size(); i-- > 0;) {
     const SubCharge& r = receipts_[i];
     if (r.charge.bytes == 0) continue;
@@ -89,66 +89,6 @@ void HybridPfs::wipe_server(std::size_t server) {
   }
 }
 
-common::Status HybridPfs::failover_read_sub(common::FileId file, const SubExtent& sub,
-                                            std::uint8_t* out) const {
-  const common::FileId replica = replica_of(file);
-  if (replica == common::kInvalidFileId) {
-    ++failover_stats_.unavailable;
-    return common::Status::unavailable(
-        "server " + std::to_string(sub.server) + " is dead and file " +
-        std::to_string(file) + " has no replica for [" +
-        std::to_string(sub.logical_offset) + ", +" + std::to_string(sub.length) + ")");
-  }
-  // The replica shares the file's logical byte space, so this sub-extent's
-  // bytes live at the same logical range of the replica; map them through
-  // the replica's own layout and serve from there, charging the replica's
-  // servers under the active job (exact attribution).
-  const StripeLayout& layout = mds_.info(replica).layout;
-  layout.map_extent(sub.logical_offset, sub.length, failover_extents_);
-  for (const SubExtent& rsub : failover_extents_) {
-    if (membership_->dead(rsub.server)) {
-      ++failover_stats_.unavailable;
-      return common::Status::unavailable(
-          "file " + std::to_string(file) + " lost both copies (replica server " +
-          std::to_string(rsub.server) + " is dead too)");
-    }
-    common::Status verified = servers_[rsub.server]->load_verified(
-        replica, rsub.physical_offset, out + (rsub.logical_offset - sub.logical_offset),
-        rsub.length);
-    if (!verified.is_ok()) {
-      if (fault_ != nullptr) ++fault_->metrics().corruption_detected;
-      return common::Status::corruption("server " + std::to_string(rsub.server) +
-                                        " file " + std::to_string(replica) + ": " +
-                                        verified.message());
-    }
-    per_server_[rsub.server] += rsub.length;
-    ++failover_stats_.failover_reads;
-    failover_stats_.failover_bytes += rsub.length;
-  }
-  return common::Status::ok();
-}
-
-common::Status HybridPfs::mirror_write_sub(common::FileId replica, const SubExtent& sub,
-                                           const std::uint8_t* data) {
-  const StripeLayout& layout = mds_.info(replica).layout;
-  layout.map_extent(sub.logical_offset, sub.length, failover_extents_);
-  for (const SubExtent& rsub : failover_extents_) {
-    if (membership_ != nullptr && membership_->dead(rsub.server)) {
-      ++failover_stats_.unavailable;
-      return common::Status::unavailable("replica server " + std::to_string(rsub.server) +
-                                         " is dead");
-    }
-    servers_[rsub.server]->store(replica, rsub.physical_offset,
-                                 data + (rsub.logical_offset - sub.logical_offset),
-                                 rsub.length);
-    per_server_[rsub.server] += rsub.length;
-    ++failover_stats_.mirrored_writes;
-    failover_stats_.mirror_bytes += rsub.length;
-  }
-  mds_.extend(replica, sub.logical_offset + sub.length);
-  return common::Status::ok();
-}
-
 std::size_t HybridPfs::pick_fallback_sserver(common::Seconds t) const {
   std::size_t best = servers_.size();
   common::Seconds best_backlog = 0.0;
@@ -165,82 +105,110 @@ std::size_t HybridPfs::pick_fallback_sserver(common::Seconds t) const {
   return best;
 }
 
-common::Status HybridPfs::admit_request(const std::vector<common::ByteCount>& per_server,
-                                        common::Seconds arrival) const {
-  if (guard_ == nullptr) return common::Status::ok();
-  common::Seconds max_backlog = 0.0;
-  for (std::size_t i = 0; i < per_server.size(); ++i) {
-    if (per_server[i] == 0) continue;
-    const common::Seconds b = row_.server(i).backlog(arrival);
-    guard_->observe_server(i, arrival, b);
-    max_backlog = std::max(max_backlog, b);
+common::Status HybridPfs::charge(common::OpType op, const BatchRequest& r, std::size_t index,
+                                 IoResult& result) {
+  // Charge each server once for the request's accumulated bytes: the
+  // per-server physical image of one request is contiguous under dense
+  // round-robin packing, so a real client ships it as a single server
+  // message (the per-server term of Eq. 2).
+  std::fill(per_server_.begin(), per_server_.end(), 0);
+  for (std::uint32_t k = batch_sub_begin_[index]; k < batch_sub_begin_[index + 1]; ++k) {
+    per_server_[batch_subs_[k].server] += batch_subs_[k].length;
   }
-  if (!guard_->admit(active_job_, max_backlog)) {
-    return common::Status::overloaded(
-        "admission gate shed " +
-        std::string(guard::tier_name(guard_->tier_of(active_job_))) +
-        "-tier request (backlog " + std::to_string(max_backlog) + "s)");
-  }
-  return common::Status::ok();
-}
+  result.completion = r.arrival;
+  receipts_.clear();
 
-common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType op,
-                                            const std::vector<common::ByteCount>& per_server,
-                                            common::Seconds arrival, IoResult& result) const {
-  fault::FaultInjector& injector = fault_->injector();
-  fault::FaultMetrics& metrics = fault_->metrics();
-  const fault::RetryPolicy& policy = fault_->retry();
-
-  // Recovered servers first pay the traffic they missed: replay every redo
-  // entry whose target is back online.  The replay is catch-up background
-  // work — it loads the server queue (and so delays this request through
-  // contention) but does not gate this request's completion directly.
-  for (const fault::RedoEntry& entry : fault_->redo().take_replayable(injector, arrival)) {
-    row_.server(entry.server).submit(common::OpType::kWrite, entry.bytes, arrival);
-    ++metrics.redo_replayed;
-    metrics.redo_bytes += entry.bytes;
-  }
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    fault_->note_server_state(i, injector.offline(i, arrival));
+  if (fault_ != nullptr) {
+    // Recovered servers first pay the traffic they missed: replay every
+    // redo entry whose target is back online.  The replay is catch-up
+    // background work — it loads the server queue (and so delays this
+    // request through contention) but does not gate its completion.
+    fault::FaultMetrics& metrics = fault_->metrics();
+    for (const fault::RedoEntry& entry :
+         fault_->redo().take_replayable(fault_->injector(), r.arrival)) {
+      row_.server(entry.server).submit(common::OpType::kWrite, entry.bytes, r.arrival);
+      ++metrics.redo_replayed;
+      metrics.redo_bytes += entry.bytes;
+    }
+    for (std::size_t i = 0; i < servers_.size(); ++i) {
+      fault_->note_server_state(i, fault_->injector().offline(i, r.arrival));
+    }
   }
 
-  // Admission gate: observe post-redo backlogs and shed before any server
+  // Admission gate: observe (post-redo) backlogs and shed before any server
   // is charged (the fast-fail contract of kOverloaded).
-  MHA_RETURN_IF_ERROR(admit_request(per_server, arrival));
+  if (guard_ != nullptr) {
+    common::Seconds max_backlog = 0.0;
+    for (std::size_t i = 0; i < per_server_.size(); ++i) {
+      if (per_server_[i] == 0) continue;
+      const common::Seconds b = row_.server(i).backlog(r.arrival);
+      guard_->observe_server(i, r.arrival, b);
+      max_backlog = std::max(max_backlog, b);
+    }
+    if (!guard_->admit(r.job, max_backlog)) {
+      return common::Status::overloaded(
+          "admission gate shed " + std::string(guard::tier_name(guard_->tier_of(r.job))) +
+          "-tier request (backlog " + std::to_string(max_backlog) + "s)");
+    }
+  }
 
-  // The retry/offline-wait budget is additionally capped by the request's
-  // end-to-end deadline: waiting past the instant the caller abandons the
-  // request is work nobody will collect.
   const bool enforce_deadline =
-      guard_ != nullptr && active_deadline_ < std::numeric_limits<double>::infinity();
+      guard_ != nullptr && r.deadline < std::numeric_limits<double>::infinity();
+  if (fault_ == nullptr && scheduler_ != nullptr && !enforce_deadline) {
+    // One policy dispatch carrying every sub-request of the request.
+    subs_.clear();
+    for (std::size_t i = 0; i < per_server_.size(); ++i) {
+      if (per_server_[i] == 0) continue;
+      subs_.push_back(sim::SubRequest{i, op, per_server_[i], r.job});
+    }
+    const sched::DispatchResult out = scheduler_->dispatch(
+        row_, std::span<const sim::SubRequest>(subs_.data(), subs_.size()), r.arrival);
+    result.completion = std::max(result.completion, out.completion);
+    result.sub_requests += out.sub_requests;
+    result.servers_touched += subs_.size();
+    return common::Status::ok();
+  }
+
+  // Otherwise sub-requests go out one at a time, so each leaves a
+  // cancellation receipt and the first one that cannot make the deadline
+  // aborts the rest.  The retry/offline-wait budget of the degraded path is
+  // additionally capped by the deadline: waiting past the instant the
+  // caller abandons the request is work nobody will collect.
   const common::Seconds budget_end =
-      std::min(arrival + policy.timeout_budget,
-               enforce_deadline ? active_deadline_
-                                : std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < per_server.size(); ++i) {
-    if (per_server[i] == 0) continue;
+      fault_ == nullptr
+          ? std::numeric_limits<double>::infinity()
+          : std::min(r.arrival + fault_->retry().timeout_budget,
+                     enforce_deadline ? r.deadline : std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < per_server_.size(); ++i) {
+    if (per_server_[i] == 0) continue;
     std::size_t server = i;
-    const common::ByteCount bytes = per_server[i];
-    common::Seconds t = arrival;
+    const common::ByteCount bytes = per_server_[i];
+    common::Seconds t = r.arrival;
     std::size_t attempt = 1;
-    for (;;) {
+    bool parked = false;
+    // Degraded-mode resolution of where and when this sub-request runs.
+    while (fault_ != nullptr) {
+      fault::FaultInjector& injector = fault_->injector();
+      fault::FaultMetrics& metrics = fault_->metrics();
+      const fault::RetryPolicy& policy = fault_->retry();
       if (injector.offline(server, t)) {
         ++metrics.offline_hits;
         if (guard_ != nullptr) guard_->record_server(server, t, false);
         if (op == common::OpType::kWrite) {
           // The payload is already durable in the client-visible content
-          // plane (store() ran before dispatch), so park the server charge
-          // in the redo log and acknowledge — read-your-writes holds.
-          fault_->redo().append(fault::RedoEntry{server, file, bytes, t});
+          // plane (the store stage ran first), so park the server charge in
+          // the redo log and acknowledge — read-your-writes holds.
+          fault_->redo().append(fault::RedoEntry{server, r.file, bytes, t});
           ++metrics.redo_logged;
           result.completion = std::max(result.completion, t);
+          parked = true;
           break;
         }
         if (is_hserver(server)) {
           // Degraded read: HServer data has an SServer replica under the
           // paper's migration story — re-charge the least-loaded online
-          // SServer.  Bytes were already load()ed from the content plane,
-          // so the answer stays byte-identical.
+          // SServer.  Bytes were already loaded from the content plane, so
+          // the answer stays byte-identical.
           const std::size_t best = pick_fallback_sserver(t);
           if (best != servers_.size()) {
             ++metrics.degraded_reads;
@@ -310,63 +278,23 @@ common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType 
         t += delay;
         continue;
       }
-      charge_sub(op, server, bytes, t, result);
-      if (guard_ != nullptr) {
-        // End-to-end deadline: if this sub-request cannot complete before
-        // the caller abandons the request, stop here and cancel the
-        // siblings already charged — work the servers would otherwise
-        // perform for nothing.  The blown deadline is this server's
-        // failure as far as its breaker is concerned: it was too slow.
-        if (enforce_deadline && result.completion > active_deadline_) {
-          guard_->note_deadline_miss();
-          guard_->record_server(server, t, false);
-          rewind_receipts();
-          return common::Status::unavailable(
-              "deadline exceeded dispatching to server " + std::to_string(server));
-        }
-        guard_->record_server(server, t, true);
-      }
       break;
     }
-  }
-  return common::Status::ok();
-}
-
-common::Status HybridPfs::dispatch(common::FileId file, common::OpType op,
-                                   const std::vector<common::ByteCount>& per_server,
-                                   common::Seconds arrival, IoResult& result) const {
-  receipts_.clear();
-  if (fault_ != nullptr) {
-    return dispatch_degraded(file, op, per_server, arrival, result);
-  }
-  MHA_RETURN_IF_ERROR(admit_request(per_server, arrival));
-  const bool enforce_deadline =
-      guard_ != nullptr && active_deadline_ < std::numeric_limits<double>::infinity();
-  if (scheduler_ != nullptr && !enforce_deadline) {
-    subs_.clear();
-    for (std::size_t i = 0; i < per_server.size(); ++i) {
-      if (per_server[i] == 0) continue;
-      subs_.push_back(sim::SubRequest{i, op, per_server[i], active_job_});
-    }
-    const sched::DispatchResult out = scheduler_->dispatch(
-        row_, std::span<const sim::SubRequest>(subs_.data(), subs_.size()), arrival);
-    result.completion = std::max(result.completion, out.completion);
-    result.sub_requests += out.sub_requests;
-    result.servers_touched += subs_.size();
-    return common::Status::ok();
-  }
-  // Direct path — and, under an enforced deadline, the scheduler path too:
-  // sub-requests go out one at a time so each leaves a cancellation receipt
-  // and the first one that cannot make the deadline aborts the rest.
-  for (std::size_t i = 0; i < per_server.size(); ++i) {
-    if (per_server[i] == 0) continue;
-    charge_sub(op, i, per_server[i], arrival, result);
-    if (enforce_deadline && result.completion > active_deadline_) {
+    if (parked) continue;
+    charge_sub(op, server, bytes, t, r.job, result);
+    // End-to-end deadline: if this sub-request cannot complete before the
+    // caller abandons the request, stop here and cancel the siblings already
+    // charged — work the servers would otherwise perform for nothing.  Under
+    // a fault context the blown deadline is also this server's failure as
+    // far as its breaker is concerned: it was too slow.
+    if (enforce_deadline && result.completion > r.deadline) {
       guard_->note_deadline_miss();
+      if (fault_ != nullptr) guard_->record_server(server, t, false);
       rewind_receipts();
-      return common::Status::unavailable(
-          "deadline exceeded dispatching to server " + std::to_string(i));
+      return common::Status::unavailable("deadline exceeded dispatching to server " +
+                                         std::to_string(server));
     }
+    if (fault_ != nullptr && guard_ != nullptr) guard_->record_server(server, t, true);
   }
   return common::Status::ok();
 }
@@ -395,133 +323,81 @@ common::Result<common::FileId> HybridPfs::open(const std::string& name) const {
 common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset offset,
                                           const std::uint8_t* data, common::ByteCount size,
                                           common::Seconds arrival) {
-  if (file >= mds_.file_count()) return common::Status::out_of_range("bad file id");
-  const StripeLayout& layout = mds_.info(file).layout;
-  IoResult result;
-  result.completion = arrival;
-  // Move the data piece by piece, but charge each server exactly once for
-  // its accumulated bytes: the per-server physical image of one request is
-  // contiguous under dense round-robin packing, so a real client ships it
-  // as a single server message (the per-server term of Eq. 2).
-  std::fill(per_server_.begin(), per_server_.end(), 0);
-  layout.map_extent(offset, size, extents_);
-  const common::FileId replica = replica_of(file);
-  const bool failover = failover_active();
-  if (failover && replica == common::kInvalidFileId) {
-    // Fail before any content-plane mutation (matching the batched path,
-    // which rejects the request at translate time): a write that cannot
-    // reach a dead server and has no replica to land on would otherwise be
-    // silently lossy.
-    for (const SubExtent& sub : extents_) {
-      if (!membership_->dead(sub.server)) continue;
-      ++failover_stats_.unavailable;
-      return common::Status::unavailable(
-          "server " + std::to_string(sub.server) + " is dead and file " +
-          std::to_string(file) + " has no replica");
-    }
-  }
-  for (const SubExtent& sub : extents_) {
-    const bool dead = failover && membership_->dead(sub.server);
-    if (dead) {
-      // Primary copy is gone for good; the mirror store below is the only
-      // landing site, and it carries the full charge.
-      ++failover_stats_.failover_writes;
-    } else {
-      // Silent-fault injection point: with a fault context attached, each
-      // stored sub-extent may be bit-rotted, torn or misdirected on its way
-      // to the content plane.  The draw consumes randomness only under a
-      // covering silent window, and the sim charges normal time either way —
-      // silent faults are invisible to schedulers and to every timing golden.
-      bool stored = false;
-      if (fault_ != nullptr) {
-        const sim::WriteFault wf = fault_->injector().draw_write_fault(
-            sub.server, arrival, sub.physical_offset, sub.length);
-        if (wf.kind != sim::WriteFault::Kind::kNone) {
-          servers_[sub.server]->store_faulted(file, sub.physical_offset,
-                                              data + (sub.logical_offset - offset),
-                                              sub.length, wf);
-          per_server_[sub.server] += sub.length;
-          stored = true;
-        }
-      }
-      if (!stored) {
-        servers_[sub.server]->store(file, sub.physical_offset,
-                                    data + (sub.logical_offset - offset), sub.length);
-        per_server_[sub.server] += sub.length;
-      }
-    }
-    if (replica != common::kInvalidFileId) {
-      MHA_RETURN_IF_ERROR(
-          mirror_write_sub(replica, sub, data + (sub.logical_offset - offset)));
-    }
-  }
-  MHA_RETURN_IF_ERROR(dispatch(file, common::OpType::kWrite, per_server_, arrival, result));
-  mds_.extend(file, offset + size);
-  return result;
+  const BatchRequest req{file, offset, size, nullptr, data, arrival, active_job_,
+                         active_deadline_, 0};
+  BatchResultVec results;
+  run_batch(common::OpType::kWrite, {&req, 1}, results);
+  if (!results[0].status.is_ok()) return results[0].status;
+  return results[0].io;
 }
 
 common::Result<IoResult> HybridPfs::read(common::FileId file, common::Offset offset,
                                          std::uint8_t* out, common::ByteCount size,
-                                         common::Seconds arrival) const {
-  if (file >= mds_.file_count()) return common::Status::out_of_range("bad file id");
-  const StripeLayout& layout = mds_.info(file).layout;
-  IoResult result;
-  result.completion = arrival;
-  std::fill(per_server_.begin(), per_server_.end(), 0);
-  layout.map_extent(offset, size, extents_);
-  const bool failover = failover_active();
-  for (const SubExtent& sub : extents_) {
-    if (failover && membership_->dead(sub.server)) {
-      MHA_RETURN_IF_ERROR(
-          failover_read_sub(file, sub, out + (sub.logical_offset - offset)));
-      continue;
-    }
-    common::Status verified = servers_[sub.server]->load_verified(
-        file, sub.physical_offset, out + (sub.logical_offset - offset), sub.length);
-    if (!verified.is_ok()) {
-      if (fault_ != nullptr) ++fault_->metrics().corruption_detected;
-      return common::Status::corruption("server " + std::to_string(sub.server) + " file " +
-                                        std::to_string(file) + ": " + verified.message());
-    }
-    per_server_[sub.server] += sub.length;
-  }
-  MHA_RETURN_IF_ERROR(dispatch(file, common::OpType::kRead, per_server_, arrival, result));
-  return result;
+                                         common::Seconds arrival) {
+  const BatchRequest req{file, offset, size, out, nullptr, arrival, active_job_,
+                         active_deadline_, 0};
+  BatchResultVec results;
+  run_batch(common::OpType::kRead, {&req, 1}, results);
+  if (!results[0].status.is_ok()) return results[0].status;
+  return results[0].io;
 }
 
-void HybridPfs::batch_serial(common::OpType op, std::span<const BatchRequest> reqs,
-                             BatchResultVec& results) {
-  const common::JobId saved_job = active_job_;
-  const common::Seconds saved_deadline = active_deadline_;
+void HybridPfs::write_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
+  run_batch(common::OpType::kWrite, reqs, results);
+}
+
+void HybridPfs::read_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
+  run_batch(common::OpType::kRead, reqs, results);
+}
+
+void HybridPfs::run_batch(common::OpType op, std::span<const BatchRequest> reqs,
+                          BatchResultVec& results) {
+  results.clear();
+  results.resize(reqs.size());
+  const std::span<BatchOpResult> out(results.data(), results.size());
+  if (guard_ == nullptr && fault_ == nullptr && run_stages(op, reqs, out)) return;
   bool have_failed_group = false;
   std::uint32_t failed_group = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const BatchRequest& r = reqs[i];
-    BatchOpResult& out = results[i];
-    if (have_failed_group && r.group == failed_group) {
-      out.skipped = true;
+    out[i] = BatchOpResult{};
+    if (have_failed_group && reqs[i].group == failed_group) {
+      out[i].skipped = true;
       continue;
     }
-    active_job_ = r.job;
-    active_deadline_ = r.deadline;
-    const common::Result<IoResult> res =
-        op == common::OpType::kWrite
-            ? write(r.file, r.offset, r.write_data, r.size, r.arrival)
-            : read(r.file, r.offset, r.read_out, r.size, r.arrival);
-    if (res.is_ok()) {
-      out.io = *res;
-    } else {
-      out.status = res.status();
+    run_stages(op, reqs.subspan(i, 1), out.subspan(i, 1));
+    if (!out[i].status.is_ok()) {
       have_failed_group = true;
-      failed_group = r.group;
+      failed_group = reqs[i].group;
     }
   }
-  active_job_ = saved_job;
-  active_deadline_ = saved_deadline;
 }
 
-bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest> reqs,
-                                BatchResultVec& results) {
+bool HybridPfs::run_stages(common::OpType op, std::span<const BatchRequest> reqs,
+                           std::span<BatchOpResult> out) {
+  if (!translate(op, reqs, out)) return true;
+  if (op == common::OpType::kWrite) {
+    store(reqs, out);
+  } else if (!load(reqs, out)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    if (out[i].skipped || !out[i].status.is_ok()) continue;
+    IoResult io;
+    common::Status charged = charge(op, reqs[i], i, io);
+    if (!charged.is_ok()) {
+      out[i].status = std::move(charged);
+      continue;
+    }
+    out[i].io = io;
+    // Complete: a successful write extends its file (failed and skipped
+    // requests never do).
+    if (op == common::OpType::kWrite) mds_.extend(reqs[i].file, reqs[i].offset + reqs[i].size);
+  }
+  return true;
+}
+
+bool HybridPfs::translate(common::OpType op, std::span<const BatchRequest> reqs,
+                          std::span<BatchOpResult> out) {
   batch_subs_.clear();
   batch_sub_begin_.clear();
   const bool failover = failover_active();
@@ -533,11 +409,11 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
     const std::uint32_t req_begin = static_cast<std::uint32_t>(batch_subs_.size());
     batch_sub_begin_.push_back(req_begin);
     if (have_failed_group && r.group == failed_group) {
-      results[i].skipped = true;
+      out[i].skipped = true;
       continue;
     }
     if (r.file >= mds_.file_count()) {
-      results[i].status = common::Status::out_of_range("bad file id");
+      out[i].status = common::Status::out_of_range("bad file id");
       have_failed_group = true;
       failed_group = r.group;
       continue;
@@ -563,7 +439,10 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
         ++failover_stats_.failover_writes;
       }
       // Replica subs: reads retarget only when the primary is dead; writes
-      // always mirror so the copies stay coherent for a future kill.
+      // always mirror so the copies stay coherent for a future kill.  The
+      // replica shares the file's logical byte space, so the sub's bytes
+      // live at the same logical range of the replica, mapped through the
+      // replica's own layout and charged under the requester's job.
       if (replica != common::kInvalidFileId &&
           (dead || op == common::OpType::kWrite)) {
         mds_.info(replica).layout.map_extent(sub.logical_offset, sub.length,
@@ -572,8 +451,10 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
           if (membership_ != nullptr && membership_->dead(rsub.server)) {
             ++failover_stats_.unavailable;
             failed = common::Status::unavailable(
-                "file " + std::to_string(r.file) + " lost both copies (replica server " +
-                std::to_string(rsub.server) + " is dead too)");
+                "file " + std::to_string(r.file) +
+                (dead ? " lost both copies (replica server "
+                      : " cannot mirror onto its replica (replica server ") +
+                std::to_string(rsub.server) + (dead ? " is dead too)" : " is dead)"));
             break;
           }
           batch_subs_.push_back(BatchSub{static_cast<std::uint32_t>(i),
@@ -592,10 +473,9 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
       }
     }
     if (!failed.is_ok()) {
-      // The failed request contributes nothing: no content op, no charge
-      // (same no-mutation contract as the serial pre-scan).
+      // The failed request contributes nothing: no content op, no charge.
       batch_subs_.resize(req_begin);
-      results[i].status = failed;
+      out[i].status = failed;
       have_failed_group = true;
       failed_group = r.group;
       continue;
@@ -606,149 +486,76 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
   return any;
 }
 
-void HybridPfs::batch_dispatch(common::OpType op, std::span<const BatchRequest> reqs,
-                               BatchResultVec& results) {
-  receipts_.clear();
-  if (scheduler_ != nullptr) {
-    // Scheduler path: one policy dispatch per request in batch order —
-    // identical queue evolution to the serial scheduler path (no guard on
-    // the fast path, so deadlines are never enforced here, matching
-    // serial).
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      BatchOpResult& out = results[i];
-      if (out.skipped || !out.status.is_ok()) continue;
-      out.io.completion = reqs[i].arrival;
-      std::fill(per_server_.begin(), per_server_.end(), 0);
-      for (std::uint32_t k = batch_sub_begin_[i]; k < batch_sub_begin_[i + 1]; ++k) {
-        per_server_[batch_subs_[k].server] += batch_subs_[k].length;
+void HybridPfs::store(std::span<const BatchRequest> reqs,
+                      std::span<const BatchOpResult> out) {
+  if (fault_ != nullptr) {
+    // Silent-fault injection point: each stored primary sub-extent may be
+    // bit-rotted, torn or misdirected on its way to the content plane.  The
+    // draw consumes randomness only under a covering silent window, and the
+    // sim charges normal time either way — silent faults are invisible to
+    // schedulers and to every timing golden.  Mirror subs store plainly.
+    for (const BatchSub& s : batch_subs_) {
+      const BatchRequest& r = reqs[s.req];
+      sim::WriteFault wf;
+      if (s.file == r.file) {
+        wf = fault_->injector().draw_write_fault(s.server, r.arrival, s.physical_offset,
+                                                 s.length);
       }
-      subs_.clear();
-      for (std::size_t s = 0; s < per_server_.size(); ++s) {
-        if (per_server_[s] == 0) continue;
-        subs_.push_back(sim::SubRequest{s, op, per_server_[s], reqs[i].job});
-      }
-      const sched::DispatchResult dr = scheduler_->dispatch(
-          row_, std::span<const sim::SubRequest>(subs_.data(), subs_.size()),
-          reqs[i].arrival);
-      out.io.completion = std::max(out.io.completion, dr.completion);
-      out.io.sub_requests += dr.sub_requests;
-      out.io.servers_touched += subs_.size();
+      servers_[s.server]->store_faulted(s.file, s.physical_offset,
+                                        r.write_data + (s.logical_offset - r.offset),
+                                        s.length, wf);
     }
-    return;
+  } else if (!servers_.empty() && servers_[0]->stores_data()) {
+    // Group the subs by (server, file), keeping request order within each
+    // group so overlapping writes land exactly as one-by-one writes would,
+    // and push each group through one store_batch call (every touched
+    // checksum chunk paid once instead of once per sub-stripe piece — the
+    // dominant cost of small writes).
+    batch_sorted_ = batch_subs_;
+    std::sort(batch_sorted_.begin(), batch_sorted_.end(),
+              [](const BatchSub& a, const BatchSub& b) {
+                if (a.server != b.server) return a.server < b.server;
+                if (a.file != b.file) return a.file < b.file;
+                if (a.req != b.req) return a.req < b.req;
+                return a.logical_offset < b.logical_offset;
+              });
+    std::size_t g = 0;
+    while (g < batch_sorted_.size()) {
+      const std::uint32_t server = batch_sorted_[g].server;
+      const common::FileId file = batch_sorted_[g].file;
+      batch_slices_.clear();
+      std::size_t e = g;
+      for (; e < batch_sorted_.size() && batch_sorted_[e].server == server &&
+             batch_sorted_[e].file == file;
+           ++e) {
+        const BatchSub& s = batch_sorted_[e];
+        const BatchRequest& r = reqs[s.req];
+        batch_slices_.push_back(ExtentStore::IoSlice{
+            s.physical_offset, r.write_data + (s.logical_offset - r.offset), s.length});
+      }
+      servers_[server]->store_batch(
+          file, std::span<const ExtentStore::IoSlice>(batch_slices_.data(),
+                                                      batch_slices_.size()));
+      g = e;
+    }
   }
-  // Direct path: flatten every request's per-server aggregate sub-ops into
-  // one list, then make ONE dispatch call per touched server carrying that
-  // server's share of the whole batch.  Within a server the sub-ops keep
-  // batch order, so the queue evolution (including which sub-ops see the
-  // queued-startup discount) is bit-identical to per-request charges.
-  batch_charges_.clear();
+  // A mirrored replica grows with its stored bytes, even when the charge
+  // stage later fails the request.
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    BatchOpResult& out = results[i];
-    if (out.skipped || !out.status.is_ok()) continue;
-    out.io.completion = reqs[i].arrival;
-    std::fill(per_server_.begin(), per_server_.end(), 0);
-    for (std::uint32_t k = batch_sub_begin_[i]; k < batch_sub_begin_[i + 1]; ++k) {
-      per_server_[batch_subs_[k].server] += batch_subs_[k].length;
+    const common::FileId replica = replica_of(reqs[i].file);
+    if (out[i].skipped || !out[i].status.is_ok() || replica == common::kInvalidFileId) {
+      continue;
     }
-    for (std::size_t s = 0; s < per_server_.size(); ++s) {
-      if (per_server_[s] == 0) continue;
-      batch_charges_.push_back(BatchCharge{
-          static_cast<std::uint32_t>(s),
-          sim::ServerSim::BatchSubOp{op, per_server_[s], reqs[i].arrival, reqs[i].job,
-                                     static_cast<std::uint32_t>(i), 0.0}});
-    }
-  }
-  for (std::uint32_t s = 0; s < servers_.size(); ++s) {
-    batch_server_ops_.clear();
-    for (const BatchCharge& bc : batch_charges_) {
-      if (bc.server == s) batch_server_ops_.push_back(bc.op);
-    }
-    if (batch_server_ops_.empty()) continue;
-    row_.server(s).charge_batch(
-        std::span<sim::ServerSim::BatchSubOp>(batch_server_ops_.data(),
-                                              batch_server_ops_.size()));
-    for (const sim::ServerSim::BatchSubOp& sub : batch_server_ops_) {
-      BatchOpResult& out = results[sub.tag];
-      out.io.completion = std::max(out.io.completion, sub.completion);
-      ++out.io.sub_requests;
-      ++out.io.servers_touched;
-    }
+    mds_.extend(replica, reqs[i].offset + reqs[i].size);
   }
 }
 
-void HybridPfs::write_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
-  results.clear();
-  results.resize(reqs.size());
-  if (reqs.empty()) return;
-  if (!batch_fast_path()) {
-    batch_serial(common::OpType::kWrite, reqs, results);
-    return;
-  }
-  if (batch_translate(common::OpType::kWrite, reqs, results)) {
-    // Content plane: group the translated subs by (server, file), keeping
-    // batch order within each group so overlapping writes land exactly as
-    // the serial sequence would, and push each group through one
-    // store_batch call (every touched checksum chunk paid once instead of
-    // once per sub-stripe piece — the dominant cost of small writes).
-    if (!servers_.empty() && servers_[0]->stores_data()) {
-      batch_sorted_ = batch_subs_;
-      std::sort(batch_sorted_.begin(), batch_sorted_.end(),
-                [](const BatchSub& a, const BatchSub& b) {
-                  if (a.server != b.server) return a.server < b.server;
-                  if (a.file != b.file) return a.file < b.file;
-                  if (a.req != b.req) return a.req < b.req;
-                  return a.logical_offset < b.logical_offset;
-                });
-      std::size_t g = 0;
-      while (g < batch_sorted_.size()) {
-        const std::uint32_t server = batch_sorted_[g].server;
-        const common::FileId file = batch_sorted_[g].file;
-        batch_slices_.clear();
-        std::size_t e = g;
-        for (; e < batch_sorted_.size() && batch_sorted_[e].server == server &&
-               batch_sorted_[e].file == file;
-             ++e) {
-          const BatchSub& s = batch_sorted_[e];
-          const BatchRequest& r = reqs[s.req];
-          batch_slices_.push_back(ExtentStore::IoSlice{
-              s.physical_offset, r.write_data + (s.logical_offset - r.offset), s.length});
-        }
-        servers_[server]->store_batch(
-            file, std::span<const ExtentStore::IoSlice>(batch_slices_.data(),
-                                                        batch_slices_.size()));
-        g = e;
-      }
-    }
-    batch_dispatch(common::OpType::kWrite, reqs, results);
-  }
-  // Metadata extends in batch order (an order-independent max, kept
-  // deterministic anyway); failed and skipped requests never extend.
-  // Mirrored replicas extend with their primary, matching the serial path.
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (results[i].status.is_ok() && !results[i].skipped) {
-      mds_.extend(reqs[i].file, reqs[i].offset + reqs[i].size);
-      const common::FileId replica = replica_of(reqs[i].file);
-      if (replica != common::kInvalidFileId) {
-        mds_.extend(replica, reqs[i].offset + reqs[i].size);
-      }
-    }
-  }
-}
-
-void HybridPfs::read_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
-  results.clear();
-  results.resize(reqs.size());
-  if (reqs.empty()) return;
-  if (!batch_fast_path()) {
-    batch_serial(common::OpType::kRead, reqs, results);
-    return;
-  }
-  if (!batch_translate(common::OpType::kRead, reqs, results)) return;
-  // Verification plane: sort the subs by physical position, coalesce
-  // overlap-or-adjacent runs per (server, file), and verify each run once.
-  // A run never bridges a physical gap, so its chunk set is exactly the
-  // union of the per-sub chunk sets the serial path would verify — shared
-  // chunks just get checked once instead of once per sub.
+bool HybridPfs::load(std::span<const BatchRequest> reqs, std::span<BatchOpResult> out) {
+  // Sort the subs by physical position, coalesce overlap-or-adjacent runs
+  // per (server, file), and verify each run once.  A run never bridges a
+  // physical gap, so its chunk set is exactly the union of the per-sub
+  // chunk sets — shared chunks just get checked once instead of once per
+  // sub.
   batch_sorted_ = batch_subs_;
   std::sort(batch_sorted_.begin(), batch_sorted_.end(),
             [](const BatchSub& a, const BatchSub& b) {
@@ -778,24 +585,30 @@ void HybridPfs::read_batch(std::span<const BatchRequest> reqs, BatchResultVec& r
                 .is_ok();
     g = e;
   }
-  if (!clean) {
-    // Corruption somewhere under the batch: re-run everything through the
-    // serial member so the failing request gets the exact serial Status
-    // (chunk, CRCs, server), siblings complete or skip exactly as serial,
-    // and partially-filled output buffers match.  Nothing was mutated by
-    // the verify pass, so the replay starts from the same state.
-    for (std::size_t i = 0; i < results.size(); ++i) results[i] = BatchOpResult{};
-    batch_serial(common::OpType::kRead, reqs, results);
-    return;
-  }
-  // Content plane: raw loads per sub — verification already passed, and
-  // every destination slice is distinct, so order is irrelevant.
+  if (!clean && reqs.size() > 1) return false;
   for (const BatchSub& s : batch_subs_) {
     const BatchRequest& r = reqs[s.req];
-    servers_[s.server]->load(s.file, s.physical_offset,
-                             r.read_out + (s.logical_offset - r.offset), s.length);
+    std::uint8_t* dest = r.read_out + (s.logical_offset - r.offset);
+    if (clean) {
+      // Verification already passed and every destination slice is
+      // distinct, so the raw loads' order is irrelevant.
+      servers_[s.server]->load(s.file, s.physical_offset, dest, s.length);
+      continue;
+    }
+    // Corruption under a single request: load sub by sub in request order,
+    // so the Status names the first failing chunk (server, CRCs) and the
+    // output buffer is filled exactly up to it.
+    common::Status verified =
+        servers_[s.server]->load_verified(s.file, s.physical_offset, dest, s.length);
+    if (!verified.is_ok()) {
+      if (fault_ != nullptr) ++fault_->metrics().corruption_detected;
+      out[s.req].status =
+          common::Status::corruption("server " + std::to_string(s.server) + " file " +
+                                     std::to_string(s.file) + ": " + verified.message());
+      break;
+    }
   }
-  batch_dispatch(common::OpType::kRead, reqs, results);
+  return true;
 }
 
 common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset offset,
@@ -807,7 +620,7 @@ common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset of
 common::Result<std::vector<std::uint8_t>> HybridPfs::read_bytes(common::FileId file,
                                                                 common::Offset offset,
                                                                 common::ByteCount size,
-                                                                common::Seconds arrival) const {
+                                                                common::Seconds arrival) {
   std::vector<std::uint8_t> out(size);
   auto r = read(file, offset, out.data(), size, arrival);
   if (!r.is_ok()) return r.status();
@@ -841,6 +654,23 @@ std::string HybridPfs::stats_table() const {
     out += sim::stats_table_row(i, servers_[i]->sim());
   }
   return out;
+}
+
+common::Status copy_range(HybridPfs& pfs, common::FileId from, common::Offset from_offset,
+                          common::FileId to, common::Offset to_offset,
+                          common::ByteCount length, common::ByteCount chunk,
+                          std::vector<std::uint8_t>& buffer, common::Seconds& clock) {
+  for (common::ByteCount moved = 0; moved < length;) {
+    const common::ByteCount piece = std::min(chunk, length - moved);
+    buffer.resize(piece);
+    auto read = pfs.read(from, from_offset + moved, buffer.data(), piece, clock);
+    if (!read.is_ok()) return read.status();
+    auto write = pfs.write(to, to_offset + moved, buffer.data(), piece, read->completion);
+    if (!write.is_ok()) return write.status();
+    clock = write->completion;
+    moved += piece;
+  }
+  return common::Status::ok();
 }
 
 }  // namespace mha::pfs

@@ -116,38 +116,43 @@ class HybridPfs {
   /// The scheduler-facing view over this cluster's server queues.
   const sched::ServerRow& server_row() const { return row_; }
 
-  /// Tenant job every subsequent read/write is charged against.  The
-  /// replayer stamps this before each request (a store, not an allocation,
-  /// so the zero-alloc request path is untouched); single-tenant callers
-  /// never touch it and stay on job 0.
+  /// Tenant job every subsequent read/write is charged against.  read() and
+  /// write() stamp it into their one-request batch (a store, not an
+  /// allocation, so the zero-alloc request path is untouched); batched
+  /// callers carry the job in each BatchRequest instead.  Single-tenant
+  /// callers never touch it and stay on job 0.
   void set_active_job(common::JobId job) { active_job_ = job; }
   common::JobId active_job() const { return active_job_; }
 
-  /// Attaches an overload guard (borrowed; may be nullptr).  While set,
-  /// every dispatch consults the guard's admission gate (shedding with a
-  /// typed kOverloaded Status before any server is charged), feeds backlog
-  /// observations to the per-server breakers, and — on the degraded path —
-  /// reroutes HServer reads away from open breakers, spends retry tokens
-  /// for every backoff retry, and enforces the active deadline by
-  /// cancelling already-charged siblings when a sub-request would complete
-  /// past it.
+  /// Attaches an overload guard (borrowed; may be nullptr).  While set, the
+  /// charge stage consults the guard's admission gate for every request
+  /// (shedding with a typed kOverloaded Status before any server is
+  /// charged), feeds backlog observations to the per-server breakers, and —
+  /// with a fault context attached too — reroutes HServer reads away from
+  /// open breakers and spends retry tokens for every backoff retry.  It
+  /// enforces each request's deadline by cancelling already-charged siblings
+  /// when a sub-request would complete past it.  A guard makes batches run
+  /// one request at a time, so the guard picks its victims request by
+  /// request.
   void set_guard(guard::OverloadGuard* g) { guard_ = g; }
   guard::OverloadGuard* guard() const { return guard_; }
 
-  /// End-to-end deadline of every subsequent request (virtual seconds;
-  /// infinity disables).  The replayer stamps arrival + the job's tier
-  /// allowance before each request, same store-only contract as
-  /// set_active_job.  Enforced only while a guard is attached.
+  /// End-to-end deadline read() and write() stamp into their request
+  /// (virtual seconds; infinity disables).  The replayer stamps arrival +
+  /// the job's tier allowance before each request, same store-only contract
+  /// as set_active_job.  Enforced only while a guard is attached.
   void set_active_deadline(common::Seconds deadline) { active_deadline_ = deadline; }
   common::Seconds active_deadline() const { return active_deadline_; }
 
   /// Attaches a fault context (borrowed; may be nullptr).  While set, every
   /// server queue consults the context's injector (crashes push start times,
-  /// brownouts inflate service — visible to scheduler look-ahead), and
-  /// dispatch runs the degraded-mode client path: transient failures retry
-  /// with capped exponential backoff under a virtual-time budget, reads from
-  /// offline HServers re-charge to the least-loaded online SServer replica,
-  /// writes to offline servers park in the redo log and replay on recovery.
+  /// brownouts inflate service — visible to scheduler look-ahead), stored
+  /// sub-extents draw silent write faults, and the charge stage runs
+  /// degraded: transient failures retry with capped exponential backoff
+  /// under a virtual-time budget, reads from offline HServers re-charge to
+  /// the least-loaded online SServer, writes to offline servers park in the
+  /// redo log and replay on recovery.  Like a guard, a fault context makes
+  /// batches run one request at a time, so every RNG draw keeps its order.
   void set_fault_context(fault::FaultContext* fault);
   fault::FaultContext* fault_context() const { return fault_; }
 
@@ -190,31 +195,36 @@ class HybridPfs {
 
   common::Result<common::FileId> open(const std::string& name) const;
 
+  /// One-request batches: the request carries the active job and deadline
+  /// and runs through write_batch/read_batch's stages.
   common::Result<IoResult> write(common::FileId file, common::Offset offset,
                                  const std::uint8_t* data, common::ByteCount size,
                                  common::Seconds arrival);
 
   common::Result<IoResult> read(common::FileId file, common::Offset offset,
                                 std::uint8_t* out, common::ByteCount size,
-                                common::Seconds arrival) const;
+                                common::Seconds arrival);
 
-  /// Batched request path: issues every request of `reqs` with semantics
-  /// identical to calling write()/read() serially in batch order (same
-  /// stored bytes and CRC state, same per-server queue evolution, same
-  /// aggregate and per-job stats, same Statuses), while paying the batch
-  /// costs once instead of per request.  Without a guard or fault context
-  /// the fast path runs: one vectorized translate pass, per-(server, file)
-  /// coalesced content-plane ops (one store_batch / merged verify_range
-  /// per physical run), and ONE ServerSim dispatch per touched server
-  /// carrying the whole batch's sub-op list.  With a guard attached the
-  /// admission gate, deadline enforcement and tier shedding run per
-  /// request inside the batch (the guard picks its victims request by
-  /// request); with a fault context the degraded path and the silent-fault
-  /// RNG draw order are preserved exactly — both fall back to the serial
-  /// member functions per request.  `results` is cleared and filled
-  /// index-parallel to `reqs`.  Zero heap allocations in the steady state:
-  /// all scratch is owned by this HybridPfs and retains capacity across
-  /// batches (same single-client rule as the serial scratch).
+  /// The request path.  Each request runs the same stages in order:
+  /// translate (dead-server subs retarget to the replica for reads or are
+  /// mirrored onto it for writes; a request with no surviving copy fails
+  /// here and touches nothing), then store (writes) or verify-and-load
+  /// (reads), then admit, then charge, then complete.  A failed request
+  /// skips the later members of its group.
+  ///
+  /// The stages run at one of two granularities.  With no guard and no
+  /// fault context the whole batch is one unit: one translate pass,
+  /// per-(server, file) coalesced content-plane ops (one store_batch or one
+  /// merged verify_range per physical run), then the charges in batch
+  /// order.  Nothing after the content plane can fail there, so moving it
+  /// ahead of the timing plane is unobservable.  With a guard or a fault
+  /// context attached — and after a coalesced run fails verification — the
+  /// stages run one request at a time, so admission, deadlines, fault RNG
+  /// draws and the exact per-sub corruption Status happen in request order.
+  /// Either way the results equal issuing the requests one by one.
+  /// `results` is cleared and filled index-parallel to `reqs`.  Zero heap
+  /// allocations in the steady state: all scratch is owned by this
+  /// HybridPfs and retains capacity across batches.
   void write_batch(std::span<const BatchRequest> reqs, BatchResultVec& results);
   void read_batch(std::span<const BatchRequest> reqs, BatchResultVec& results);
 
@@ -225,7 +235,7 @@ class HybridPfs {
   common::Result<std::vector<std::uint8_t>> read_bytes(common::FileId file,
                                                        common::Offset offset,
                                                        common::ByteCount size,
-                                                       common::Seconds arrival) const;
+                                                       common::Seconds arrival);
 
   common::Status remove(const std::string& name);
 
@@ -244,70 +254,70 @@ class HybridPfs {
   std::string stats_table() const;
 
  private:
-  /// Charges the per-server sub-requests of one file request, either through
-  /// the attached scheduler or directly (FCFS at arrival).  With a fault
-  /// context attached, runs the degraded-mode path instead; a sub-request
-  /// that exhausts its retry/timeout budget surfaces a non-ok Status.
-  common::Status dispatch(common::FileId file, common::OpType op,
-                          const std::vector<common::ByteCount>& per_server,
-                          common::Seconds arrival, IoResult& result) const;
-  common::Status dispatch_degraded(common::FileId file, common::OpType op,
-                                   const std::vector<common::ByteCount>& per_server,
-                                   common::Seconds arrival, IoResult& result) const;
+  /// One translated sub-extent of one batch request: a primary stripe piece,
+  /// or a replica piece (a retargeted read or a mirrored write) whose `file`
+  /// is the replica.
+  struct BatchSub {
+    std::uint32_t req = 0;  ///< index into the stage's request span
+    std::uint32_t server = 0;
+    common::FileId file = 0;
+    common::Offset physical_offset = 0;
+    common::ByteCount length = 0;
+    common::Offset logical_offset = 0;
+  };
+  /// Cancellation receipt of one charged sub-request.
+  struct SubCharge {
+    std::size_t server = 0;
+    sim::Charge charge;
+  };
+
+  /// Picks the granularity (see write_batch) and runs the stages.
+  void run_batch(common::OpType op, std::span<const BatchRequest> reqs,
+                 BatchResultVec& results);
+  /// Runs every stage over `reqs` as one unit.  False only when a
+  /// multi-request read failed verification; nothing has been loaded or
+  /// charged then, and the caller reruns the requests one at a time.
+  bool run_stages(common::OpType op, std::span<const BatchRequest> reqs,
+                  std::span<BatchOpResult> out);
+  /// Translate stage: validates file ids and maps every request's extent
+  /// into batch_subs_ (per-request ranges in batch_sub_begin_).  Dead-server
+  /// subs retarget to replica subs (reads) or are replaced by mirror subs
+  /// (writes, which mirror on live primaries too); a request with no
+  /// surviving copy fails with kUnavailable and contributes no subs.
+  /// Returns false when no request survived.
+  bool translate(common::OpType op, std::span<const BatchRequest> reqs,
+                 std::span<BatchOpResult> out);
+  /// Write content stage.  With a fault context every primary sub draws its
+  /// silent write fault and is stored on its own, in translate order;
+  /// otherwise each (server, file) group goes through one store_batch.
+  void store(std::span<const BatchRequest> reqs, std::span<const BatchOpResult> out);
+  /// Read content stage: verifies each coalesced physical run once, then
+  /// loads.  A single request that fails verification re-loads sub by sub
+  /// with load_verified for the exact Status; a multi-request batch returns
+  /// false instead.
+  bool load(std::span<const BatchRequest> reqs, std::span<BatchOpResult> out);
+  /// Admit + charge stage of one translated request (`index` into the stage
+  /// span): redo replay and the admission gate, then the per-server
+  /// charges — through the scheduler or directly, with the degraded retry /
+  /// reroute / redo loop under a fault context — enforcing the request's
+  /// deadline by rewinding its receipts.
+  common::Status charge(common::OpType op, const BatchRequest& r, std::size_t index,
+                        IoResult& result);
   /// Charges one resolved sub-request at `t` (scheduler or direct path) and
   /// collects its cancellation receipt in receipts_.
   void charge_sub(common::OpType op, std::size_t server, common::ByteCount bytes,
-                  common::Seconds t, IoResult& result) const;
-  /// Admission gate + backlog observation for one request; non-ok when the
-  /// guard shed it.  No-op without a guard.
-  common::Status admit_request(const std::vector<common::ByteCount>& per_server,
-                               common::Seconds arrival) const;
+                  common::Seconds t, common::JobId job, IoResult& result);
   /// Cancels every receipt collected for the current request, newest first
   /// (LIFO, the only order try_cancel can unwind).  Charges that later
   /// admissions baked in stay — those bytes are marked wasted on their
   /// server (and the guard's ledger when one is attached).
-  void rewind_receipts() const;
+  void rewind_receipts();
   /// Least-backlog online SServer whose breaker is closed (the degraded-read
   /// and breaker-reroute fallback target); servers_.size() when none.
   std::size_t pick_fallback_sserver(common::Seconds t) const;
-
   /// True when a membership view is attached and reports at least one dead
-  /// server — the only case the failover branches below are entered.
+  /// server — the only case the failover branches are entered.
   bool failover_active() const;
-  /// Serves one sub-extent of a dead server from `file`'s replica: loads the
-  /// replica's bytes into `out` (verified) and charges the replica servers
-  /// in per_server_.  kUnavailable when no surviving copy exists.
-  common::Status failover_read_sub(common::FileId file, const SubExtent& sub,
-                                   std::uint8_t* out) const;
-  /// Mirrors one sub-extent's payload onto `replica` (store + per_server_
-  /// charge), keeping the copies coherent for future failover.
-  common::Status mirror_write_sub(common::FileId replica, const SubExtent& sub,
-                                  const std::uint8_t* data);
-
-  /// True when batches may take the coalesced fast path: with no guard and
-  /// no fault context a dispatch cannot fail, so reordering the content
-  /// plane ahead of the timing plane is unobservable.
-  bool batch_fast_path() const { return guard_ == nullptr && fault_ == nullptr; }
-  /// Exact-equivalence fallback: every request issued through the serial
-  /// write()/read() member in batch order (guard decisions, fault RNG draws
-  /// and degraded-mode bookkeeping all happen in the serial sequence),
-  /// honouring group skip.  Restores active job/deadline afterwards.
-  void batch_serial(common::OpType op, std::span<const BatchRequest> reqs,
-                    BatchResultVec& results);
-  /// Fast-path pass 1: validates file ids and translates every request's
-  /// extents into the flat batch_subs_ list (per-request ranges in
-  /// batch_sub_begin_), applying group skip for translate failures.  Op-
-  /// aware for failover: dead-server subs retarget to replica subs (reads)
-  /// or are replaced by mirror subs (writes, which mirror on live primaries
-  /// too); a request with no surviving copy fails here with kUnavailable
-  /// and contributes no subs.  Returns false when no request survived.
-  bool batch_translate(common::OpType op, std::span<const BatchRequest> reqs,
-                       BatchResultVec& results);
-  /// Fast-path timing plane: per-request per-server aggregation, then either
-  /// one scheduler dispatch per request (scheduler attached) or one
-  /// charge_batch call per touched server for the whole batch.
-  void batch_dispatch(common::OpType op, std::span<const BatchRequest> reqs,
-                      BatchResultVec& results);
 
   sim::ClusterConfig config_;
   MetadataServer mds_;
@@ -319,57 +329,43 @@ class HybridPfs {
   const repair::Membership* membership_ = nullptr;
   /// FileId -> replica FileId (kInvalidFileId), grown by set_replica only.
   std::vector<common::FileId> replica_of_;
-  /// Mutated under const on the read path (same single-client rule as the
-  /// scratch below).
-  mutable FailoverStats failover_stats_;
+  FailoverStats failover_stats_;
   common::JobId active_job_ = common::kDefaultJob;
   common::Seconds active_deadline_ = std::numeric_limits<double>::infinity();
   sched::ServerRow row_;
-  // Request-path scratch, reused across read/write calls so the steady state
-  // performs zero heap allocations per request.  Same single-client rule as
-  // Drt's lookup hint: a HybridPfs may be shared across threads only with
+  // Request-path scratch, reused across calls so the steady state performs
+  // zero heap allocations per request.  Same single-client rule as Drt's
+  // lookup hint: a HybridPfs may be shared across threads only with
   // external synchronisation (the bench harness gives each thread its own
   // world, so this is free there).
-  mutable std::vector<common::ByteCount> per_server_;
-  mutable StripeLayout::SubExtentVec extents_;
+  std::vector<common::ByteCount> per_server_;
+  StripeLayout::SubExtentVec extents_;
   /// Second mapping scratch for replica extents (nested inside the extents_
   /// walk, so it cannot share).
-  mutable StripeLayout::SubExtentVec failover_extents_;
-  mutable common::SmallVec<sim::SubRequest, 8> subs_;
+  StripeLayout::SubExtentVec failover_extents_;
+  common::SmallVec<sim::SubRequest, 8> subs_;
   /// Cancellation receipts of the in-flight request's charged siblings.
-  struct SubCharge {
-    std::size_t server = 0;
-    sim::Charge charge;
-  };
-  mutable common::SmallVec<SubCharge, 8> receipts_;
-  // Batch-path scratch (same ownership rule as the serial scratch above).
-  /// One translated sub-extent of one batch request.
-  struct BatchSub {
-    std::uint32_t req = 0;  ///< index into the batch
-    std::uint32_t server = 0;
-    common::FileId file = 0;
-    common::Offset physical_offset = 0;
-    common::ByteCount length = 0;
-    common::Offset logical_offset = 0;
-  };
-  mutable common::SmallVec<BatchSub, 32> batch_subs_;
+  common::SmallVec<SubCharge, 8> receipts_;
+  common::SmallVec<BatchSub, 32> batch_subs_;
   /// Per-request [begin, end) ranges into batch_subs_ (size = reqs + 1).
-  mutable common::SmallVec<std::uint32_t, 16> batch_sub_begin_;
+  common::SmallVec<std::uint32_t, 16> batch_sub_begin_;
   /// Sorted copy of batch_subs_ for content-plane grouping/coalescing.
-  mutable common::SmallVec<BatchSub, 32> batch_sorted_;
-  /// Flattened (server, sub-op) list for the one-dispatch-per-server pass.
-  struct BatchCharge {
-    std::uint32_t server = 0;
-    sim::ServerSim::BatchSubOp op;
-  };
-  mutable common::SmallVec<BatchCharge, 32> batch_charges_;
-  /// One server's contiguous sub-op list handed to ServerSim::charge_batch.
-  mutable common::SmallVec<sim::ServerSim::BatchSubOp, 32> batch_server_ops_;
+  common::SmallVec<BatchSub, 32> batch_sorted_;
   /// Per-(server, file) slice list handed to DataServer::store_batch.
-  mutable common::SmallVec<ExtentStore::IoSlice, 32> batch_slices_;
+  common::SmallVec<ExtentStore::IoSlice, 32> batch_slices_;
 };
 
 /// The file-system default stripe size (OrangeFS ships 64 KiB).
 inline constexpr common::ByteCount kDefaultStripe = 64 * 1024;
+
+/// Copies `length` bytes of `from` starting at `from_offset` to `to` starting
+/// at `to_offset`, in pieces of at most `chunk` bytes: each piece is read at
+/// `clock` and written at the read's completion, and `clock` advances to the
+/// write's completion.  `buffer` is caller-owned scratch.  The placer, online
+/// foldback, migration recovery and the rebuilder all move data this way.
+common::Status copy_range(HybridPfs& pfs, common::FileId from, common::Offset from_offset,
+                          common::FileId to, common::Offset to_offset,
+                          common::ByteCount length, common::ByteCount chunk,
+                          std::vector<std::uint8_t>& buffer, common::Seconds& clock);
 
 }  // namespace mha::pfs

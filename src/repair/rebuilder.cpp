@@ -276,26 +276,6 @@ common::Result<std::size_t> Rebuilder::pick_sserver(
   return common::Status::unavailable("rebuilder: no surviving SServer");
 }
 
-common::Status Rebuilder::copy_range(common::FileId source, common::FileId dest,
-                                     common::Offset offset, common::ByteCount length,
-                                     common::Seconds& issue) {
-  JobScope scope(pfs_, options_.job);
-  common::ByteCount moved = 0;
-  while (moved < length) {
-    const common::ByteCount piece =
-        std::min<common::ByteCount>(options_.chunk, length - moved);
-    buffer_.resize(piece);
-    auto read = pfs_.read(source, offset + moved, buffer_.data(), piece, issue);
-    if (!read.is_ok()) return read.status();
-    auto write = pfs_.write(dest, offset + moved, buffer_.data(), piece,
-                            read->completion);
-    if (!write.is_ok()) return write.status();
-    issue = write->completion;
-    moved += piece;
-  }
-  return common::Status::ok();
-}
-
 common::Status Rebuilder::copy_pump(common::Seconds now, bool unbounded) {
   while (task_index_ < tasks_.size()) {
     Task& task = tasks_[task_index_];
@@ -322,19 +302,16 @@ common::Status Rebuilder::copy_pump(common::Seconds now, bool unbounded) {
 
     const common::ByteCount piece =
         std::min<common::ByteCount>(options_.chunk, task.length - task_pos_);
-    buffer_.resize(piece);
     {
       JobScope scope(pfs_, options_.job);
-      auto read = pfs_.read(task.source, task_pos_, buffer_.data(), piece, next_issue_);
-      if (!read.is_ok()) return read.status();
-      auto write = pfs_.write(task.dest, task_pos_, buffer_.data(), piece,
-                              read->completion);
-      if (!write.is_ok()) return write.status();
+      common::Seconds written = next_issue_;
+      MHA_RETURN_IF_ERROR(pfs::copy_range(pfs_, task.source, task_pos_, task.dest, task_pos_,
+                                          piece, piece, buffer_, written));
       // Pacing: closed-loop when unthrottled (next chunk at this one's
       // completion), token-paced otherwise — whichever is later.
       const common::Seconds pace =
           options_.rate > 0.0 ? static_cast<double>(piece) / options_.rate : 0.0;
-      next_issue_ = std::max(write->completion, next_issue_ + pace);
+      next_issue_ = std::max(written, next_issue_ + pace);
     }
     task_pos_ += piece;
     report_.bytes_copied += piece;
@@ -401,7 +378,9 @@ common::Status Rebuilder::finish(common::Seconds now) {
         if (!primary.is_ok()) return primary.status();
         source = *primary;
       }
-      MHA_RETURN_IF_ERROR(copy_range(source, task.dest, e.r_offset, e.length, issue));
+      JobScope scope(pfs_, options_.job);
+      MHA_RETURN_IF_ERROR(pfs::copy_range(pfs_, source, e.r_offset, task.dest, e.r_offset,
+                                          e.length, options_.chunk, buffer_, issue));
       report_.bytes_recopied += e.length;
     }
     MHA_RETURN_IF_ERROR(drt.retarget_region(task.old_name, task.new_name));

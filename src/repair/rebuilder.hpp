@@ -141,9 +141,6 @@ class Rebuilder {
   common::Status create_dests();
   common::Status copy_pump(common::Seconds now, bool unbounded);
   common::Status finish(common::Seconds now);
-  common::Status copy_range(common::FileId source, common::FileId dest,
-                            common::Offset offset, common::ByteCount length,
-                            common::Seconds& issue);
   /// Surviving SServer for a fresh replica/fallback stripe: lowest index not
   /// dead and (when possible) not already holding primary stripes of `avoid`.
   common::Result<std::size_t> pick_sserver(const std::vector<common::ByteCount>& avoid);

@@ -87,12 +87,6 @@ common::Seconds ServerSim::submit(common::OpType op, common::ByteCount bytes,
   return charge(op, bytes, arrival, job).completion;
 }
 
-void ServerSim::charge_batch(std::span<BatchSubOp> subs) {
-  for (BatchSubOp& sub : subs) {
-    sub.completion = charge(sub.op, sub.bytes, sub.arrival, sub.job).completion;
-  }
-}
-
 bool ServerSim::try_cancel(const Charge& c) {
   if (c.bytes == 0) return false;
   // Only the most recent admission is cancellable: a later charge started

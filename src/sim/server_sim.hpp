@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -88,26 +87,6 @@ class ServerSim {
   /// try_cancel() it (hedged duplicates).
   Charge charge(common::OpType op, common::ByteCount bytes, common::Seconds arrival,
                 common::JobId job = common::kDefaultJob);
-
-  /// One sub-operation of a batched dispatch (see charge_batch).  `tag` is a
-  /// caller cookie (e.g. the index of the owning batch request) passed
-  /// through untouched; `completion` is written by charge_batch.
-  struct BatchSubOp {
-    common::OpType op = common::OpType::kRead;
-    common::ByteCount bytes = 0;
-    common::Seconds arrival = 0.0;
-    common::JobId job = common::kDefaultJob;
-    std::uint32_t tag = 0;
-    common::Seconds completion = 0.0;  ///< out
-  };
-
-  /// Admits a whole batch's sub-operations for this server in ONE dispatch
-  /// call, in list order, writing each sub's completion back in place.  The
-  /// arithmetic is charge() applied per sub — queue state, aggregate stats
-  /// and every per-job row end up bit-identical to per-request dispatches in
-  /// the same order — so batching amortizes the client-side call overhead
-  /// without perturbing the timing model.
-  void charge_batch(std::span<BatchSubOp> subs);
 
   /// Undoes `c` — rewinds the queue and the stats — provided no later charge
   /// was admitted (LIFO cancellation, the only case a hedger needs).

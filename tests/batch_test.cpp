@@ -1,23 +1,38 @@
-// Batched-vs-serial equivalence: the batched end-to-end request path
-// (HybridPfs::read_batch/write_batch, MpiFile::*_at_batch, the replayer's
-// per-iteration batching) must be OBSERVABLY IDENTICAL to issuing the same
-// requests serially in batch order — byte-identical extent-store contents,
-// identical per-server and per-job accounting, identical Statuses and
-// timings — across every (scheme x scheduler x guard) combination, at any
-// thread count.  The batch is an optimisation of the how, never of the what.
+// Batch-granularity equivalence: HybridPfs has one request path, and an
+// N-request batch (HybridPfs::read_batch/write_batch, MpiFile::*_at_batch,
+// the replayer's per-iteration batching) must be OBSERVABLY IDENTICAL to N
+// one-request batches (read()/write(), what the replayer issues with
+// batching off) — byte-identical extent-store contents, identical
+// per-server and per-job accounting, identical Statuses and timings —
+// across every (scheme x scheduler x guard) combination, at any thread
+// count, and under faults, a guard and a server kill together.  The degraded
+// combination is additionally checked against a flat in-memory model of the
+// file, the reference that does not share the request path.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/redirector.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/injector.hpp"
 #include "guard/guard.hpp"
 #include "io/mpi_file.hpp"
 #include "layouts/scheme.hpp"
 #include "qos/job.hpp"
+#include "qos/policy.hpp"
+#include "repair/membership.hpp"
+#include "repair/rebuilder.hpp"
 #include "sched/scheduler.hpp"
 #include "workloads/dlpipe.hpp"
 #include "workloads/ior.hpp"
@@ -265,6 +280,226 @@ TEST(BatchEquivalenceThreads, EightThreadPoolMatchesSerialLoop) {
   }
 }
 
+// ------------------------------- faults + guard + kill + rebuild together
+
+/// IOR writes, each write iteration followed by a read-back iteration of the
+/// same ranges, so the kill at the middle barrier lands between writes (which
+/// then mirror or fail over) and reads (which then retarget to replicas).
+trace::Trace degraded_trace() {
+  workloads::IorMixedSizesConfig config;
+  config.num_procs = 6;
+  config.request_sizes = {16_KiB, 96_KiB};
+  config.file_size = 4_MiB;
+  config.op = common::OpType::kWrite;
+  config.per_rank_sizes = true;
+  config.file_name = "degraded.ior";
+  config.seed = 11;
+  const trace::Trace writes = workloads::ior_mixed_sizes(config);
+  std::map<common::Seconds, std::vector<trace::TraceRecord>> iterations;
+  for (const trace::TraceRecord& r : writes.records) iterations[r.t_start].push_back(r);
+  trace::Trace trace = writes;
+  trace.records.clear();
+  double t = 0.0;
+  for (const auto& [start, records] : iterations) {
+    for (trace::TraceRecord r : records) {
+      r.t_start = t;
+      trace.records.push_back(r);
+    }
+    for (trace::TraceRecord r : records) {
+      r.op = common::OpType::kRead;
+      r.t_start = t + 1.0;
+      trace.records.push_back(r);
+    }
+    t += 2.0;
+  }
+  return trace;
+}
+
+/// A degraded replay's outcome beyond RunOutput: the fault, guard and
+/// failover ledgers, and the file as the client sees it afterwards.
+struct DegradedRun {
+  RunOutput out;
+  fault::FaultMetrics fault;
+  guard::GuardMetrics guard;
+  pfs::FailoverStats failover;
+  repair::RebuildReport rebuild;
+  /// The file's bytes over every traced range (zero elsewhere), read back
+  /// through the redirector after the rebuild finished.
+  std::vector<std::uint8_t> logical;
+};
+
+/// perfbench `degraded` in miniature: two tenants under job-fair QoS, an
+/// overload guard with per-tier deadlines, brownout / transient / crash
+/// fault windows, HServer 0 killed at the middle barrier and a throttled
+/// rebuilder stepped at every later barrier, then drained.
+DegradedRun run_degraded(const trace::Trace& trace, bool batch_requests) {
+  static std::atomic<int> counter{0};
+  DegradedRun run;
+  run.out.pfs = std::make_unique<pfs::HybridPfs>(sim::ClusterConfig{});
+  pfs::HybridPfs& pfs = *run.out.pfs;
+  core::MhaOptions mha;
+  mha.replicate_hot = true;
+  auto prepared = layouts::make_mha(mha)->prepare(pfs, trace);
+  if (!prepared.is_ok()) {
+    run.out.status = prepared.status();
+    return run;
+  }
+  layouts::Deployment deployment = std::move(prepared).take();
+  auto* redirector = static_cast<core::Redirector*>(deployment.interceptor.get());
+
+  qos::JobTable jobs;
+  jobs.assign_ranks(jobs.add("latency", 1.0, qos::PriorityClass::kInteractive), 0, 3);
+  jobs.assign_ranks(jobs.add("batch", 2.0, qos::PriorityClass::kBatch), 3, 3);
+  const common::JobId rebuild_job = jobs.add("rebuild", 1.0, qos::PriorityClass::kBatch);
+  auto scheduler = qos::make_qos_scheduler(qos::QosKind::kJobFair, jobs);
+
+  fault::FaultInjector injector(29);
+  for (std::size_t s : {std::size_t{1}, std::size_t{2}}) {
+    fault::FaultWindow w;
+    w.server = s;
+    w.kind = fault::FaultKind::kBrownout;
+    w.start = 0.01;
+    w.end = 1e9;
+    w.factor = 4.0;
+    injector.add(w);
+  }
+  for (std::size_t s : {std::size_t{1}, std::size_t{6}}) {
+    fault::FaultWindow w;
+    w.server = s;
+    w.kind = fault::FaultKind::kTransient;
+    w.start = 0.01;
+    w.end = 1e9;
+    w.probability = 0.1;
+    injector.add(w);
+  }
+  fault::FaultWindow crash;
+  crash.server = 3;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.start = 0.05;
+  crash.end = 0.15;
+  injector.add(crash);
+  fault::FaultContext fault_context(injector, {}, 31);
+  guard::OverloadGuard guard(pfs.num_servers(), guard::GuardOptions{});
+  repair::Membership membership(pfs.num_servers());
+  pfs.set_membership(&membership);
+
+  const std::string journal = testing::TempDir() + "batch_test_degraded_" +
+                              std::to_string(::getpid()) + "_" +
+                              std::to_string(counter.fetch_add(1)) + ".journal";
+  std::remove(journal.c_str());
+  repair::RebuildOptions rebuild;
+  rebuild.chunk = 64_KiB;
+  rebuild.rate = 16.0 * 1024.0 * 1024.0;
+  rebuild.job = rebuild_job;
+  repair::Rebuilder rebuilder(pfs, *redirector, membership, journal, rebuild);
+
+  std::set<common::Seconds> starts;
+  for (const trace::TraceRecord& r : trace.records) starts.insert(r.t_start);
+  const std::size_t kill_barrier = starts.size() / 2;
+  std::size_t barriers = 0;
+  common::Status repair_status;
+  workloads::ReplayOptions options;
+  options.batch_requests = batch_requests;
+  options.verify_data = true;
+  options.jobs = &jobs;
+  options.scheduler = scheduler.get();
+  options.fault_context = &fault_context;
+  options.guard = &guard;
+  options.goodput_allowance = {2.0, 1.0, 0.5};
+  options.tolerate_failures = true;
+  options.on_barrier = [&](common::Seconds now) {
+    ++barriers;
+    if (!repair_status.is_ok()) return;
+    if (barriers == kill_barrier) {
+      repair::kill_server(membership, pfs, 0, now, &injector);
+      repair_status = rebuilder.plan(now);
+    } else if (rebuilder.planned() && !rebuilder.done()) {
+      repair_status = rebuilder.step(now);
+    }
+  };
+  auto result = workloads::replay(pfs, deployment, trace, options);
+  if (!result.is_ok()) {
+    run.out.status = result.status();
+    return run;
+  }
+  run.out.result = std::move(*result);
+  run.out.status = repair_status;
+  if (run.out.status.is_ok()) {
+    run.out.status = rebuilder.run_to_completion(run.out.result.makespan);
+  }
+  std::remove(journal.c_str());
+  run.fault = injector.metrics();
+  run.guard = guard.metrics();
+  run.failover = pfs.failover_stats();
+  run.rebuild = rebuilder.report();
+
+  io::MpiSim mpi(1);
+  auto file = io::MpiFile::open(pfs, mpi, trace.file_name);
+  if (!file.is_ok()) {
+    run.out.status = file.status();
+    return run;
+  }
+  file->set_interceptor(deployment.interceptor.get());
+  run.logical.assign(trace::extent_end(trace.records), 0);
+  for (const trace::TraceRecord& r : trace.records) {
+    auto read = file->read_at(0, r.offset, run.logical.data() + r.offset, r.size);
+    if (!read.is_ok()) {
+      run.out.status = read.status();
+      break;
+    }
+  }
+  return run;
+}
+
+TEST(BatchDegraded, FaultGuardKillRebuildMatchesOneRequestBatchesAndFlatModel) {
+  const trace::Trace trace = degraded_trace();
+  DegradedRun one = run_degraded(trace, /*batch_requests=*/false);
+  DegradedRun many = run_degraded(trace, /*batch_requests=*/true);
+  expect_equivalent(one.out, many.out);
+  EXPECT_EQ(one.fault.table(), many.fault.table());
+  EXPECT_EQ(one.fault.backoff_seconds, many.fault.backoff_seconds);
+  EXPECT_EQ(one.guard.table(), many.guard.table());
+  EXPECT_EQ(one.failover.failover_reads, many.failover.failover_reads);
+  EXPECT_EQ(one.failover.failover_bytes, many.failover.failover_bytes);
+  EXPECT_EQ(one.failover.failover_writes, many.failover.failover_writes);
+  EXPECT_EQ(one.failover.mirrored_writes, many.failover.mirrored_writes);
+  EXPECT_EQ(one.failover.mirror_bytes, many.failover.mirror_bytes);
+  EXPECT_EQ(one.failover.unavailable, many.failover.unavailable);
+  EXPECT_EQ(one.rebuild.bytes_copied, many.rebuild.bytes_copied);
+
+  // The combination really ran: faults retried and degraded reads, the
+  // crash parked writes in the redo log, a breaker rerouted reads, the kill
+  // failed requests over, writes mirrored, and the rebuild re-homed the lost
+  // region.
+  EXPECT_GT(one.out.result.requests, 0u);
+  EXPECT_GT(one.fault.retries, 0u);
+  EXPECT_GT(one.fault.degraded_reads, 0u);
+  EXPECT_GT(one.fault.redo_replayed, 0u);
+  EXPECT_GT(one.guard.breaker_reroutes, 0u);
+  EXPECT_GT(one.failover.failover_reads, 0u);
+  EXPECT_GT(one.failover.mirrored_writes, 0u);
+  EXPECT_GT(one.rebuild.bytes_copied, 0u);
+  EXPECT_EQ(one.failover.unavailable, 0u);
+
+  // Flat model: the populate pattern, overwritten by every write iteration
+  // in order.  A failed write may already have stored its bytes, so the
+  // model holds only while every request completed.
+  ASSERT_EQ(one.out.result.failed_requests + one.out.result.shed_requests, 0u);
+  std::vector<std::uint8_t> model(one.logical.size());
+  layouts::populate_fill(0, model.data(), model.size());
+  for (const trace::TraceRecord& r : trace.records) {
+    if (r.op != common::OpType::kWrite) continue;
+    workloads::replay_write_fill(r.offset, model.data() + r.offset, r.size);
+  }
+  std::vector<std::uint8_t> expected(model.size(), 0);
+  for (const trace::TraceRecord& r : trace.records) {
+    std::copy_n(model.begin() + static_cast<std::ptrdiff_t>(r.offset), r.size,
+                expected.begin() + static_cast<std::ptrdiff_t>(r.offset));
+  }
+  EXPECT_TRUE(one.logical == expected);
+  EXPECT_TRUE(many.logical == expected);
+}
+
 // ------------------------------------------------ pfs-level direct tests
 
 struct PfsWorld {
@@ -385,7 +620,7 @@ TEST(BatchDirect, OverlappingWritesResolveInBatchOrder) {
 TEST(BatchDirect, CorruptionFallsBackToSerialStatus) {
   // Seed identical content into two worlds, corrupt the same stored byte in
   // both, and compare the batched read (which verifies coalesced runs, then
-  // falls back to the serial path on failure) against serial reads.
+  // reruns one request at a time on failure) against one-request reads.
   std::vector<std::uint8_t> data(256_KiB);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i * 7);

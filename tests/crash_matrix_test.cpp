@@ -481,7 +481,17 @@ INSTANTIATE_TEST_SUITE_P(DeploySites, PipelineCrashMatrix,
 /// resume (plus a fresh plan when the torn tail erased the whole plan —
 /// nothing was mutated in that case) the region serves with no failover at
 /// all and the journal is clean.
-class RebuildCrashMatrix : public ::testing::TestWithParam<Combo> {
+///
+/// Its own parameter type so it can print by name: gtest's default dumps the
+/// object's bytes, the site pointer included, so the listed test names would
+/// change from run to run.
+struct RebuildCombo : Combo {};
+
+void PrintTo(const RebuildCombo& c, std::ostream* os) {
+  *os << c.site << (c.torn ? "/torn" : "/clean");
+}
+
+class RebuildCrashMatrix : public ::testing::TestWithParam<RebuildCombo> {
  protected:
   void SetUp() override {
     journal_path_ = temp_path("rebuild");
@@ -533,7 +543,7 @@ class RebuildCrashMatrix : public ::testing::TestWithParam<Combo> {
 };
 
 TEST_P(RebuildCrashMatrix, ResumesToCleanCommit) {
-  const Combo combo = GetParam();
+  const RebuildCombo combo = GetParam();
   repair::kill_server(*membership_, *pfs_, 0, 1.0);
   {
     repair::RebuildOptions options;
@@ -581,14 +591,18 @@ TEST_P(RebuildCrashMatrix, ResumesToCleanCommit) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSites, RebuildCrashMatrix,
-    ::testing::Values(Combo{"planned", false}, Combo{"planned", true},
-                      Combo{"created", false}, Combo{"created", true},
-                      Combo{"copying", false}, Combo{"copying", true},
-                      Combo{"copied-task-0", false}, Combo{"copied-task-0", true},
-                      Combo{"copied", false}, Combo{"copied", true},
-                      Combo{"switched-task-0", false}, Combo{"switched-task-0", true},
-                      Combo{"switched", false}, Combo{"switched", true}),
-    combo_name);
+    ::testing::Values(RebuildCombo{{"planned", false}}, RebuildCombo{{"planned", true}},
+                      RebuildCombo{{"created", false}}, RebuildCombo{{"created", true}},
+                      RebuildCombo{{"copying", false}}, RebuildCombo{{"copying", true}},
+                      RebuildCombo{{"copied-task-0", false}},
+                      RebuildCombo{{"copied-task-0", true}},
+                      RebuildCombo{{"copied", false}}, RebuildCombo{{"copied", true}},
+                      RebuildCombo{{"switched-task-0", false}},
+                      RebuildCombo{{"switched-task-0", true}},
+                      RebuildCombo{{"switched", false}}, RebuildCombo{{"switched", true}}),
+    [](const ::testing::TestParamInfo<RebuildCombo>& info) {
+      return combo_name({info.param, info.index});
+    });
 
 }  // namespace
 }  // namespace mha

@@ -116,6 +116,10 @@ struct LayoutCase {
   const char* label;
 };
 
+// Print by label: gtest's default dumps the object's bytes, heap pointers
+// included, so the listed test names would change from run to run.
+void PrintTo(const LayoutCase& c, std::ostream* os) { *os << c.label; }
+
 class LayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {};
 
 // The mapping must partition any extent: pieces cover it exactly, in order,

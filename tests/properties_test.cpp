@@ -143,7 +143,17 @@ INSTANTIATE_TEST_SUITE_P(
 // Stripe pairs produced by every scheme must be realisable layouts: the MDS
 // must never hold a layout whose widths are all zero or whose server count
 // mismatches the cluster.
-class LayoutRealisability : public ::testing::TestWithParam<Combo> {};
+//
+// Its own parameter type so it can print by name: gtest's default dumps the
+// object's bytes, string pointers included, so the listed test names would
+// change from run to run.
+struct RealisabilityCombo : Combo {};
+
+void PrintTo(const RealisabilityCombo& c, std::ostream* os) {
+  *os << c.scheme << '/' << c.workload << '/' << c.hservers << 'h' << c.sservers << 's';
+}
+
+class LayoutRealisability : public ::testing::TestWithParam<RealisabilityCombo> {};
 
 TEST_P(LayoutRealisability, AllMdsLayoutsAreValid) {
   const Combo combo = GetParam();
@@ -169,13 +179,16 @@ TEST_P(LayoutRealisability, AllMdsLayoutsAreValid) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, LayoutRealisability,
-                         ::testing::Values(Combo{"MHA", "ior", 6, 2},
-                                           Combo{"HARL", "ior", 6, 2},
-                                           Combo{"MHA", "lanl", 2, 2},
-                                           Combo{"HARL", "btio", 5, 3},
-                                           Combo{"AAL", "hpio", 6, 2}),
-                         combo_name);
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, LayoutRealisability,
+    ::testing::Values(RealisabilityCombo{{"MHA", "ior", 6, 2}},
+                      RealisabilityCombo{{"HARL", "ior", 6, 2}},
+                      RealisabilityCombo{{"MHA", "lanl", 2, 2}},
+                      RealisabilityCombo{{"HARL", "btio", 5, 3}},
+                      RealisabilityCombo{{"AAL", "hpio", 6, 2}}),
+    [](const ::testing::TestParamInfo<RealisabilityCombo>& info) {
+      return combo_name({info.param, info.index});
+    });
 
 // Recovery is idempotent from EVERY crash point: running recover_migration
 // a second time after a successful recovery must change nothing — same

@@ -187,6 +187,63 @@ TEST(DrtReplica, ColumnRoundTripAndRetarget) {
   EXPECT_FALSE(drt.retarget_region("r1", "r0.rep").is_ok());  // already interned
 }
 
+// ------------------------------------------------------ double loss ------
+
+/// Every server's stored bytes of every file, in (server, file) order.
+std::vector<std::vector<std::uint8_t>> server_images(const pfs::HybridPfs& pfs) {
+  std::vector<std::vector<std::uint8_t>> images;
+  for (std::size_t s = 0; s < pfs.num_servers(); ++s) {
+    for (common::FileId f = 0; f < pfs.mds().file_count(); ++f) {
+      const pfs::ExtentStore* store = pfs.data_server(s).store(f);
+      images.push_back(store == nullptr ? std::vector<std::uint8_t>{}
+                                        : store->read(0, store->end_offset()));
+    }
+  }
+  return images;
+}
+
+TEST(FailoverWrite, DoubleLossRejectsWholeWriteBeforeStoring) {
+  // A 64 KiB-uniform primary over 2H+2S whose replica lives on server 3
+  // only.  Killing servers 0 and 3 leaves [64 KiB, 192 KiB) on live primary
+  // stripes (servers 1 and 2) with no live replica to mirror onto: the
+  // write must fail as a whole, before any server stores a byte — through
+  // write() and through a one-request write_batch alike.
+  pfs::HybridPfs pfs(tiny_cluster());
+  const common::FileId primary = *pfs.create_file("primary");
+  std::vector<common::ByteCount> widths = {0, 0, 0, 64_KiB};
+  const common::FileId replica =
+      *pfs.create_file("primary.rep", *pfs::StripeLayout::create(std::move(widths)));
+  pfs.set_replica(primary, replica);
+  const std::vector<std::uint8_t> before(256_KiB, 0xAA);
+  ASSERT_TRUE(pfs.write(primary, 0, before, 0.0).is_ok());
+
+  repair::Membership membership(pfs.num_servers());
+  pfs.set_membership(&membership);
+  repair::kill_server(membership, pfs, 0, 1.0);
+  repair::kill_server(membership, pfs, 3, 1.0);
+  const auto images = server_images(pfs);
+
+  const std::vector<std::uint8_t> data(128_KiB, 0xBB);
+  auto serial = pfs.write(primary, 64_KiB, data.data(), data.size(), 1.0);
+  ASSERT_FALSE(serial.is_ok());
+  EXPECT_EQ(serial.status().code(), common::ErrorCode::kUnavailable);
+  EXPECT_EQ(server_images(pfs), images);
+
+  pfs::BatchRequest req;
+  req.file = primary;
+  req.offset = 64_KiB;
+  req.size = data.size();
+  req.write_data = data.data();
+  req.arrival = 1.0;
+  pfs::BatchResultVec results;
+  pfs.write_batch({&req, 1}, results);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status.to_string(), serial.status().to_string());
+  EXPECT_EQ(server_images(pfs), images);
+  EXPECT_EQ(pfs.file_size(primary), 256_KiB);
+  EXPECT_EQ(pfs.failover_stats().unavailable, 2u);
+}
+
 // ------------------------------------------------------ repair world -----
 
 /// 2H+2S cluster, 768 KiB original reordered into a hot H-resident region
