@@ -235,23 +235,22 @@ int main(int argc, char** argv) {
     scheduler->reserve_metrics(512, world.pfs.num_servers());
     std::vector<std::uint8_t> buffer(64_KiB, 0x7E);
     for (common::Offset pos = 0; pos < 4_MiB; pos += 64_KiB) {  // warm-up
-      world.pfs.set_active_job(static_cast<common::JobId>((pos / 64_KiB) % 2));
-      (void)world.file->write_at(0, pos, buffer.data(), buffer.size());
-      (void)world.file->read_at(0, pos, buffer.data(), buffer.size());
+      const auto job = static_cast<common::JobId>((pos / 64_KiB) % 2);
+      (void)world.file->write_at(0, pos, buffer.data(), buffer.size(), job);
+      (void)world.file->read_at(0, pos, buffer.data(), buffer.size(), job);
     }
     common::AllocationScope scope;
     std::size_t requests = 0;
     for (common::Offset pos = 0; pos < 4_MiB; pos += 64_KiB) {
-      world.pfs.set_active_job(static_cast<common::JobId>((pos / 64_KiB) % 2));
-      (void)world.file->write_at(0, pos, buffer.data(), buffer.size());
-      (void)world.file->read_at(0, pos, buffer.data(), buffer.size());
+      const auto job = static_cast<common::JobId>((pos / 64_KiB) % 2);
+      (void)world.file->write_at(0, pos, buffer.data(), buffer.size(), job);
+      (void)world.file->read_at(0, pos, buffer.data(), buffer.size(), job);
       requests += 2;
     }
     std::printf("steady-state allocs/request (job-fair, 2 jobs stamped):  %.2f over %zu requests\n",
                 static_cast<double>(scope.allocations()) / static_cast<double>(requests),
                 requests);
     world.pfs.set_scheduler(nullptr);
-    world.pfs.set_active_job(common::kDefaultJob);
   }
   {
     // Guarded request path: an OverloadGuard attached and an enforced
@@ -265,24 +264,27 @@ int main(int argc, char** argv) {
     RequestWorld world(4_MiB, 1_MiB);
     guard::OverloadGuard overload_guard(world.pfs.num_servers(), options);
     world.pfs.set_guard(&overload_guard);
-    world.pfs.set_active_deadline(1e9);  // enforced, never missed
+    const common::Seconds deadline = 1e9;  // enforced, never missed
     std::vector<std::uint8_t> buffer(64_KiB, 0x99);
     for (common::Offset pos = 0; pos < 4_MiB; pos += 64_KiB) {  // warm-up
-      (void)world.file->write_at(0, pos, buffer.data(), buffer.size());
-      (void)world.file->read_at(0, pos, buffer.data(), buffer.size());
+      (void)world.file->write_at(0, pos, buffer.data(), buffer.size(), common::kDefaultJob,
+                                 deadline);
+      (void)world.file->read_at(0, pos, buffer.data(), buffer.size(), common::kDefaultJob,
+                                deadline);
     }
     common::AllocationScope scope;
     std::size_t requests = 0;
     for (common::Offset pos = 0; pos < 4_MiB; pos += 64_KiB) {
-      (void)world.file->write_at(0, pos, buffer.data(), buffer.size());
-      (void)world.file->read_at(0, pos, buffer.data(), buffer.size());
+      (void)world.file->write_at(0, pos, buffer.data(), buffer.size(), common::kDefaultJob,
+                                 deadline);
+      (void)world.file->read_at(0, pos, buffer.data(), buffer.size(), common::kDefaultJob,
+                                deadline);
       requests += 2;
     }
     std::printf("steady-state allocs/request (guarded, deadline enforced): %.2f over %zu requests\n",
                 static_cast<double>(scope.allocations()) / static_cast<double>(requests),
                 requests);
     world.pfs.set_guard(nullptr);
-    world.pfs.set_active_deadline(std::numeric_limits<double>::infinity());
   }
   {
     // Batched request path: after the first batch grows the arenas, the

@@ -430,7 +430,8 @@ common::Result<common::Seconds> CachedFile::flush_all(common::Seconds issue) {
 
 common::Result<common::Seconds> CachedFile::fill_pages(Shard& sh, common::Seconds issue,
                                                        common::Offset req_lo,
-                                                       common::Offset req_hi, bool prefetch) {
+                                                       common::Offset req_hi, bool prefetch,
+                                                       common::JobId job) {
   if (miss_pages_.empty()) return issue;
   const common::ByteCount ps = config_.page_size;
   const common::ByteCount fsize = file_->size();
@@ -465,6 +466,7 @@ common::Result<common::Seconds> CachedFile::fill_pages(Shard& sh, common::Second
     io::BulkOp op;
     op.offset = miss_pages_[run_begin_[r]] * ps;
     op.read_out = staging_.data() + stage_off;
+    op.job = job;
     for (std::uint32_t i = run_begin_[r]; i < run_begin_[r + 1]; ++i) {
       op.size += fill_hi(miss_pages_[i]);
     }
@@ -519,7 +521,8 @@ common::Result<common::Seconds> CachedFile::fill_pages(Shard& sh, common::Second
 // ------------------------------------------------------------- read path ---
 
 common::Result<io::OpResult> CachedFile::read_at(int rank, common::Offset offset,
-                                                 std::uint8_t* out, common::ByteCount size) {
+                                                 std::uint8_t* out, common::ByteCount size,
+                                                 common::JobId job, common::Seconds deadline) {
   const common::Seconds start = mpi_->now(rank);
   if (size == 0) return io::OpResult{start, start};
   Shard& sh = shard_of(rank);
@@ -531,7 +534,7 @@ common::Result<io::OpResult> CachedFile::read_at(int rank, common::Offset offset
   const common::Offset p0 = offset / ps;
   const common::Offset p1 = (offset + size - 1) / ps;
   if (p1 - p0 + 1 > config_.bypass_pages) {
-    return bypass(rank, common::OpType::kRead, offset, out, nullptr, size);
+    return bypass(rank, common::OpType::kRead, offset, out, nullptr, size, job, deadline);
   }
 
   const auto unpin_all = [&]() {
@@ -589,7 +592,7 @@ common::Result<io::OpResult> CachedFile::read_at(int rank, common::Offset offset
       fr.pinned = true;
       fr.klass = probe(p * ps).klass;
     }
-    auto filled = fill_pages(sh, start, offset, offset + size, /*prefetch=*/false);
+    auto filled = fill_pages(sh, start, offset, offset + size, /*prefetch=*/false, job);
     if (!filled.is_ok()) {
       unpin_all();
       return filled.status();
@@ -608,12 +611,13 @@ common::Result<io::OpResult> CachedFile::read_at(int rank, common::Offset offset
     fr.pinned = false;
   }
   mpi_->advance(rank, completion);
-  maybe_readahead(sh, rank, offset, size, start);
+  maybe_readahead(sh, rank, offset, size, start, job);
   return io::OpResult{start, completion};
 }
 
 void CachedFile::maybe_readahead(Shard& sh, int rank, common::Offset offset,
-                                 common::ByteCount size, common::Seconds issue) {
+                                 common::ByteCount size, common::Seconds issue,
+                                 common::JobId job) {
   Stream& st = streams_[static_cast<std::size_t>(rank)];
   const bool sequential = offset == st.next;
   st.run = sequential ? st.run + 1 : 1;
@@ -652,14 +656,15 @@ void CachedFile::maybe_readahead(Shard& sh, int rank, common::Offset offset,
     fr.ref = ref_boost(fr.klass);
   }
   // Prefetch is advisory: failures dropped their frames inside fill_pages.
-  (void)fill_pages(sh, issue, 0, 0, /*prefetch=*/true);
+  (void)fill_pages(sh, issue, 0, 0, /*prefetch=*/true, job);
 }
 
 // ------------------------------------------------------------ write path ---
 
 common::Result<io::OpResult> CachedFile::write_at(int rank, common::Offset offset,
                                                   const std::uint8_t* data,
-                                                  common::ByteCount size) {
+                                                  common::ByteCount size, common::JobId job,
+                                                  common::Seconds deadline) {
   const common::Seconds start = mpi_->now(rank);
   if (size == 0) return io::OpResult{start, start};
   Shard& sh = shard_of(rank);
@@ -671,7 +676,7 @@ common::Result<io::OpResult> CachedFile::write_at(int rank, common::Offset offse
   const common::Offset p0 = offset / ps;
   const common::Offset p1 = (offset + size - 1) / ps;
   if (p1 - p0 + 1 > config_.bypass_pages) {
-    return bypass(rank, common::OpType::kWrite, offset, nullptr, data, size);
+    return bypass(rank, common::OpType::kWrite, offset, nullptr, data, size, job, deadline);
   }
 
   if (config_.mode == ConsistencyMode::kWriteThrough) {
@@ -696,13 +701,11 @@ common::Result<io::OpResult> CachedFile::write_at(int rank, common::Offset offse
       }
     }
     ++metrics_.write_throughs;
-    return file_->write_at(rank, offset, data, size);
+    return file_->write_at(rank, offset, data, size, job, deadline);
   }
 
   // Write-back / close-to-open: absorb into dirty pages.
   common::Seconds completion = start + config_.hit_overhead;
-  const common::JobId job = pfs_->active_job();
-  const common::Seconds job_deadline = pfs_->active_deadline();
   for (common::Offset p = p0; p <= p1; ++p) {
     const std::uint32_t lo = p == p0 ? static_cast<std::uint32_t>(offset - p * ps) : 0;
     const std::uint32_t hi = p == p1 ? static_cast<std::uint32_t>(offset + size - p * ps)
@@ -755,7 +758,7 @@ common::Result<io::OpResult> CachedFile::write_at(int rank, common::Offset offse
                 data + (p * ps + lo - offset), hi - lo);
     fr.rank = rank;
     fr.job = job;
-    fr.deadline = std::min(fr.deadline, job_deadline);
+    fr.deadline = std::min(fr.deadline, deadline);
     fr.ref = ref_boost(fr.klass);
     fr.prefetched = false;
     sh.min_deadline = std::min(sh.min_deadline, fr.deadline);
@@ -778,7 +781,8 @@ common::Result<io::OpResult> CachedFile::write_at(int rank, common::Offset offse
 common::Result<io::OpResult> CachedFile::bypass(int rank, common::OpType op,
                                                 common::Offset offset, std::uint8_t* out,
                                                 const std::uint8_t* data,
-                                                common::ByteCount size) {
+                                                common::ByteCount size, common::JobId job,
+                                                common::Seconds deadline) {
   Shard& sh = shard_of(rank);
   const common::Seconds now = mpi_->now(rank);
   auto f = flush_overlap(sh, offset, size, now, FlushTrigger::kConflict);
@@ -794,8 +798,8 @@ common::Result<io::OpResult> CachedFile::bypass(int rank, common::OpType op,
     }
   }
   ++metrics_.bypasses;
-  return op == common::OpType::kRead ? file_->read_at(rank, offset, out, size)
-                                     : file_->write_at(rank, offset, data, size);
+  return op == common::OpType::kRead ? file_->read_at(rank, offset, out, size, job, deadline)
+                                     : file_->write_at(rank, offset, data, size, job, deadline);
 }
 
 // ------------------------------------------------------- epochs/migration ---

@@ -144,14 +144,25 @@ class CachedFile {
   /// MPI_File_read_at through the cache: hits cost hit_overhead virtual
   /// seconds, misses fill whole pages via one bulk dispatch, sequential
   /// streams arm read-ahead.  Advances the rank's clock like MpiFile does.
+  /// `job` and `deadline` are the request's own (see io::BatchOp): demand
+  /// fills and the read-ahead they arm are billed to `job`, and a bypass
+  /// passes both down.
   common::Result<io::OpResult> read_at(int rank, common::Offset offset, std::uint8_t* out,
-                                       common::ByteCount size);
+                                       common::ByteCount size,
+                                       common::JobId job = common::kDefaultJob,
+                                       common::Seconds deadline =
+                                           std::numeric_limits<double>::infinity());
 
   /// MPI_File_write_at through the cache: write-through passes down (cached
   /// copies kept coherent), write-back absorbs into dirty pages and flushes
-  /// on pressure/conflict/deadline.
+  /// on pressure/conflict/deadline.  An absorbed page records `job` (its
+  /// later flush is billed there) and the earliest `deadline` absorbed (the
+  /// deadline flush trigger); write-through and bypass pass both down.
   common::Result<io::OpResult> write_at(int rank, common::Offset offset,
-                                        const std::uint8_t* data, common::ByteCount size);
+                                        const std::uint8_t* data, common::ByteCount size,
+                                        common::JobId job = common::kDefaultJob,
+                                        common::Seconds deadline =
+                                            std::numeric_limits<double>::infinity());
 
   /// Sync flush: every dirty page in every shard, coalesced and dispatched
   /// at virtual instant `issue`.  Returns the last flush completion (`issue`
@@ -273,22 +284,24 @@ class CachedFile {
   /// hashed): contiguous pages merge into staged runs read via one
   /// dispatch_bulk, then scatter into their frames.  Pages normally fill
   /// [0, page_size) clipped at EOF; [req_lo, req_hi) widens the clip so a
-  /// read past EOF keeps exact uncached semantics.  Returns the slowest run
+  /// read past EOF keeps exact uncached semantics.  The runs are billed to
+  /// `job`, the reading request's tenant.  Returns the slowest run
   /// completion; failed runs drop their frames.
   common::Result<common::Seconds> fill_pages(Shard& sh, common::Seconds issue,
                                              common::Offset req_lo, common::Offset req_hi,
-                                             bool prefetch);
+                                             bool prefetch, common::JobId job);
 
   /// Sequential-stream bookkeeping + read-ahead issue (never touches the
   /// rank clock; prefetched frames carry ready_at = their run completion).
   void maybe_readahead(Shard& sh, int rank, common::Offset offset, common::ByteCount size,
-                       common::Seconds issue);
+                       common::Seconds issue, common::JobId job);
 
   /// Large-request passthrough: flush + invalidate the overlap, then one
   /// uncached MpiFile call (preserves exact uncached semantics).
   common::Result<io::OpResult> bypass(int rank, common::OpType op, common::Offset offset,
                                       std::uint8_t* out, const std::uint8_t* data,
-                                      common::ByteCount size);
+                                      common::ByteCount size, common::JobId job,
+                                      common::Seconds deadline);
 
   io::MpiFile* file_;
   io::MpiSim* mpi_;

@@ -112,7 +112,9 @@ class SmallVec {
   void resize(std::size_t n) {
     if (n > capacity_) grow_to(n);
     while (size_ > n) pop_back();
-    while (size_ < n) emplace_back();
+    // Capacity is already there: construct in place (emplace_back's growth
+    // branch is dead here, and GCC's -Warray-bounds misreads it).
+    for (; size_ < n; ++size_) ::new (static_cast<void*>(data_ + size_)) T();
   }
 
   friend bool operator==(const SmallVec& a, const SmallVec& b) {

@@ -32,10 +32,22 @@ class RedoLog {
   std::size_t size() const { return entries_.size(); }
   const std::vector<RedoEntry>& pending() const { return entries_; }
 
-  /// Removes and returns every entry whose target server is online at
-  /// `now` according to `injector`, preserving log order.
-  std::vector<RedoEntry> take_replayable(const FaultInjector& injector,
-                                         common::Seconds now);
+  /// Removes every entry whose target server is online at `now` according
+  /// to `injector` and hands each to `replay`, in log order; the parked
+  /// rest keep their order.  Compacts in place, so a charged request never
+  /// allocates here.
+  template <typename Replay>
+  void drain_replayable(const FaultInjector& injector, common::Seconds now, Replay&& replay) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (injector.offline(entries_[i].server, now)) {
+        entries_[kept++] = entries_[i];
+      } else {
+        replay(entries_[i]);
+      }
+    }
+    entries_.resize(kept);
+  }
 
  private:
   std::vector<RedoEntry> entries_;

@@ -9,8 +9,8 @@
 // object:
 //
 //   1. End-to-end deadlines — each priority tier owns a completion
-//      allowance; the replayer stamps arrival + allowance on the PFS before
-//      every request, the dispatch path refuses to let a sub-request's
+//      allowance; the replayer puts issue + allowance into every request
+//      as its deadline, the dispatch path refuses to let a sub-request's
 //      completion cross it, and on refusal cancels the already-charged
 //      siblings (ServerSim::try_cancel) so abandoned work stops loading the
 //      servers.  Siblings that can no longer be cancelled (a later charge

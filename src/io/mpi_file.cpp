@@ -11,70 +11,13 @@ common::Result<MpiFile> MpiFile::open(pfs::HybridPfs& pfs, MpiSim& mpi,
   return MpiFile(pfs, mpi, name, *id);
 }
 
-common::Result<OpResult> MpiFile::do_op(int rank, common::OpType op, common::Offset offset,
-                                        std::uint8_t* read_out, const std::uint8_t* write_data,
-                                        common::ByteCount size) {
-  OpResult result;
-  result.start = mpi_->now(rank);
-  common::Seconds issue = result.start;
-  if (tracer_ != nullptr) issue += tracer_->per_op_overhead();
-
-  // Translate through the interceptor (identity when none is attached) into
-  // the handle's reused scratch — no per-request allocation.
-  segments_.clear();
-  if (interceptor_ != nullptr) {
-    issue += interceptor_->lookup_overhead();
-    interceptor_->translate(offset, size, segments_);
-    if (op == common::OpType::kWrite) interceptor_->note_write(offset, size);
-  } else {
-    segments_.push_back(RedirectSegment{file_, offset, size, offset});
-  }
-
-  common::Seconds completion = issue;
-  for (const RedirectSegment& seg : segments_) {
-    common::Result<pfs::IoResult> io =
-        op == common::OpType::kRead
-            ? pfs_->read(seg.file, seg.offset, read_out + (seg.logical_offset - offset),
-                         seg.length, issue)
-            : pfs_->write(seg.file, seg.offset, write_data + (seg.logical_offset - offset),
-                          seg.length, issue);
-    if (!io.is_ok()) return io.status();
-    completion = std::max(completion, io->completion);
-  }
-  result.completion = completion;
-  mpi_->advance(rank, completion);
-
-  if (tracer_ != nullptr) {
-    tracer_->record(rank, next_fd_, op, offset, size, result.start,
-                    completion - result.start);
-  }
-  return result;
-}
-
-void MpiFile::do_op_batch(common::OpType op, std::span<const BatchOp> ops,
-                          BatchOutcomeVec& results) {
-  results.clear();
-  results.resize(ops.size());
-  if (ops.empty()) return;
-
-  // Client timeline per op, exactly as do_op charges it: start at the
-  // rank's current clock, then tracer + redirection overheads.  Ranks are
-  // distinct (see BatchOp), so no op's issue time depends on another's
-  // completion — the same independence the serial loop has within one
-  // synchronous iteration.
-  batch_issue_.clear();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    common::Seconds issue = mpi_->now(ops[i].rank);
-    results[i].op.start = issue;
-    if (tracer_ != nullptr) issue += tracer_->per_op_overhead();
-    if (interceptor_ != nullptr) issue += interceptor_->lookup_overhead();
-    batch_issue_.push_back(issue);
-  }
-
-  // Translate in ascending-offset order under one shared cursor so each
+template <typename Op>
+void MpiFile::run_ops(common::OpType op, std::span<const Op> ops, BulkOutcomeVec& folded) {
+  // Translate in ascending-offset order under the handle's cursor so each
   // lookup resumes where the previous one ended (the DRT sequential-hint
-  // path); the per-op segment lists land in a flat store addressed by op
-  // index, so the pfs batch below is still assembled in op order.
+  // path), within a batch and across calls alike; the per-op segment lists
+  // land in a flat store addressed by op index, so the pfs batch below is
+  // still assembled in op order.
   batch_order_.clear();
   for (std::uint32_t i = 0; i < ops.size(); ++i) batch_order_.push_back(i);
   std::sort(batch_order_.begin(), batch_order_.end(),
@@ -84,12 +27,11 @@ void MpiFile::do_op_batch(common::OpType op, std::span<const BatchOp> ops,
             });
   seg_store_.clear();
   seg_range_.resize(ops.size());
-  TranslateCursor cursor;
   for (const std::uint32_t idx : batch_order_) {
-    const BatchOp& o = ops[idx];
+    const Op& o = ops[idx];
     segments_.clear();
     if (interceptor_ != nullptr) {
-      interceptor_->translate(o.offset, o.size, segments_, cursor);
+      interceptor_->translate(o.offset, o.size, segments_, cursor_);
       if (op == common::OpType::kWrite) interceptor_->note_write(o.offset, o.size);
     } else {
       segments_.push_back(RedirectSegment{file_, o.offset, o.size, o.offset});
@@ -100,11 +42,11 @@ void MpiFile::do_op_batch(common::OpType op, std::span<const BatchOp> ops,
   }
 
   // One pfs batch for every segment of every op, grouped by op index so a
-  // failing segment skips its later siblings exactly like the serial loop
-  // returning at the first failure.
+  // failing segment skips its later siblings; each segment carries its op's
+  // issue instant, job and deadline.
   batch_reqs_.clear();
   for (std::uint32_t i = 0; i < ops.size(); ++i) {
-    const BatchOp& o = ops[i];
+    const Op& o = ops[i];
     const auto [begin, count] = seg_range_[i];
     for (std::uint32_t k = begin; k < begin + count; ++k) {
       const RedirectSegment& seg = seg_store_[k];
@@ -116,38 +58,62 @@ void MpiFile::do_op_batch(common::OpType op, std::span<const BatchOp> ops,
           o.job, o.deadline, i});
     }
   }
+  const std::span<const pfs::BatchRequest> reqs(batch_reqs_.data(), batch_reqs_.size());
   if (op == common::OpType::kRead) {
-    pfs_->read_batch(std::span<const pfs::BatchRequest>(batch_reqs_.data(),
-                                                        batch_reqs_.size()),
-                     batch_results_);
+    pfs_->read_batch(reqs, batch_results_);
   } else {
-    pfs_->write_batch(std::span<const pfs::BatchRequest>(batch_reqs_.data(),
-                                                         batch_reqs_.size()),
-                      batch_results_);
+    pfs_->write_batch(reqs, batch_results_);
   }
 
-  // Fold segment outcomes back per op: first failing segment's Status wins
-  // and the rank's clock stays put; a fully successful op advances its rank
-  // and is traced, both identical to the serial path.
+  // Fold segment outcomes back per op: the first failing segment's Status
+  // wins (its later siblings were group-skipped), a successful op completes
+  // with its slowest segment, and a failed one at its issue instant.
+  folded.clear();
+  folded.resize(ops.size());
   std::size_t k = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const BatchOp& o = ops[i];
     const std::uint32_t count = seg_range_[i].second;
     common::Seconds completion = batch_issue_[i];
     common::Status status;
     for (std::uint32_t m = 0; m < count; ++m, ++k) {
       const pfs::BatchOpResult& res = batch_results_[k];
-      if (status.is_ok() && !res.skipped && !res.status.is_ok()) {
-        status = res.status;
-      }
-      if (status.is_ok()) {
-        completion = std::max(completion, res.io.completion);
-      }
+      if (status.is_ok() && !res.skipped && !res.status.is_ok()) status = res.status;
+      if (status.is_ok()) completion = std::max(completion, res.io.completion);
     }
-    if (!status.is_ok()) {
-      results[i].status = status;
+    folded[i].completion = status.is_ok() ? completion : batch_issue_[i];
+    folded[i].status = std::move(status);
+  }
+}
+
+void MpiFile::do_op_batch(common::OpType op, std::span<const BatchOp> ops,
+                          BatchOutcomeVec& results) {
+  results.clear();
+  results.resize(ops.size());
+  if (ops.empty()) return;
+
+  // Client timeline per op: start at the rank's current clock, then the
+  // tracer and redirection overheads.  Ranks are distinct (see BatchOp), so
+  // no op's issue time depends on another's completion — the same
+  // independence ops of one synchronous iteration have.
+  batch_issue_.clear();
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    common::Seconds issue = mpi_->now(ops[i].rank);
+    results[i].op.start = issue;
+    if (tracer_ != nullptr) issue += tracer_->per_op_overhead();
+    if (interceptor_ != nullptr) issue += interceptor_->lookup_overhead();
+    batch_issue_.push_back(issue);
+  }
+  run_ops(op, ops, op_outcomes_);
+
+  // A failed op leaves its rank's clock untouched; a successful one
+  // advances its rank and is traced.
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const BatchOp& o = ops[i];
+    if (!op_outcomes_[i].status.is_ok()) {
+      results[i].status = std::move(op_outcomes_[i].status);
       continue;
     }
+    const common::Seconds completion = op_outcomes_[i].completion;
     results[i].op.completion = completion;
     mpi_->advance(o.rank, completion);
     if (tracer_ != nullptr) {
@@ -157,86 +123,25 @@ void MpiFile::do_op_batch(common::OpType op, std::span<const BatchOp> ops,
   }
 }
 
+common::Result<OpResult> MpiFile::do_one(common::OpType op, const BatchOp& o) {
+  BatchOutcomeVec results;
+  do_op_batch(op, {&o, 1}, results);
+  if (!results[0].status.is_ok()) return std::move(results[0].status);
+  return results[0].op;
+}
+
 void MpiFile::dispatch_bulk(common::OpType op, std::span<const BulkOp> ops,
                             common::Seconds issue, BulkOutcomeVec& results) {
   results.clear();
-  results.resize(ops.size());
   if (ops.empty()) return;
-
   // One client, one instant: every op issues at `issue` plus its own
-  // redirection lookup (the same per-request charge do_op makes — batching
-  // saves server round trips, not table consultations).
+  // redirection lookup (batching saves server round trips, not table
+  // consultations).
   const common::Seconds lookup =
       interceptor_ != nullptr ? interceptor_->lookup_overhead() : 0.0;
-  const common::Seconds op_issue = issue + lookup;
-
-  // Translate in ascending-offset order under one shared cursor (callers
-  // usually pass offset-sorted runs; sorting here keeps the DRT gallop path
-  // engaged either way), landing per-op segments in the flat store.
-  batch_order_.clear();
-  for (std::uint32_t i = 0; i < ops.size(); ++i) batch_order_.push_back(i);
-  std::sort(batch_order_.begin(), batch_order_.end(),
-            [&ops](std::uint32_t a, std::uint32_t b) {
-              if (ops[a].offset != ops[b].offset) return ops[a].offset < ops[b].offset;
-              return a < b;
-            });
-  seg_store_.clear();
-  seg_range_.resize(ops.size());
-  TranslateCursor cursor;
-  for (const std::uint32_t idx : batch_order_) {
-    const BulkOp& o = ops[idx];
-    segments_.clear();
-    if (interceptor_ != nullptr) {
-      interceptor_->translate(o.offset, o.size, segments_, cursor);
-      if (op == common::OpType::kWrite) interceptor_->note_write(o.offset, o.size);
-    } else {
-      segments_.push_back(RedirectSegment{file_, o.offset, o.size, o.offset});
-    }
-    seg_range_[idx] = {static_cast<std::uint32_t>(seg_store_.size()),
-                       static_cast<std::uint32_t>(segments_.size())};
-    for (const RedirectSegment& seg : segments_) seg_store_.push_back(seg);
-  }
-
-  batch_reqs_.clear();
-  for (std::uint32_t i = 0; i < ops.size(); ++i) {
-    const BulkOp& o = ops[i];
-    const auto [begin, count] = seg_range_[i];
-    for (std::uint32_t k = begin; k < begin + count; ++k) {
-      const RedirectSegment& seg = seg_store_[k];
-      const common::Offset into = seg.logical_offset - o.offset;
-      batch_reqs_.push_back(pfs::BatchRequest{
-          seg.file, seg.offset, seg.length,
-          o.read_out != nullptr ? o.read_out + into : nullptr,
-          o.write_data != nullptr ? o.write_data + into : nullptr, op_issue, o.job,
-          o.deadline, i});
-    }
-  }
-  if (op == common::OpType::kRead) {
-    pfs_->read_batch(std::span<const pfs::BatchRequest>(batch_reqs_.data(),
-                                                        batch_reqs_.size()),
-                     batch_results_);
-  } else {
-    pfs_->write_batch(std::span<const pfs::BatchRequest>(batch_reqs_.data(),
-                                                         batch_reqs_.size()),
-                      batch_results_);
-  }
-
-  // Fold per op: first failing segment's Status wins (later siblings were
-  // group-skipped by the pfs layer), successful ops report the slowest
-  // segment's completion.
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const std::uint32_t count = seg_range_[i].second;
-    common::Seconds completion = op_issue;
-    common::Status status;
-    for (std::uint32_t m = 0; m < count; ++m, ++k) {
-      const pfs::BatchOpResult& res = batch_results_[k];
-      if (status.is_ok() && !res.skipped && !res.status.is_ok()) status = res.status;
-      if (status.is_ok()) completion = std::max(completion, res.io.completion);
-    }
-    results[i].status = status;
-    results[i].completion = status.is_ok() ? completion : op_issue;
-  }
+  batch_issue_.clear();
+  for (std::size_t i = 0; i < ops.size(); ++i) batch_issue_.push_back(issue + lookup);
+  run_ops(op, ops, results);
 }
 
 void MpiFile::read_at_batch(std::span<const BatchOp> ops, BatchOutcomeVec& results) {
@@ -248,13 +153,17 @@ void MpiFile::write_at_batch(std::span<const BatchOp> ops, BatchOutcomeVec& resu
 }
 
 common::Result<OpResult> MpiFile::read_at(int rank, common::Offset offset, std::uint8_t* out,
-                                          common::ByteCount size) {
-  return do_op(rank, common::OpType::kRead, offset, out, nullptr, size);
+                                          common::ByteCount size, common::JobId job,
+                                          common::Seconds deadline) {
+  const BatchOp o{rank, offset, size, out, nullptr, job, deadline};
+  return do_one(common::OpType::kRead, o);
 }
 
 common::Result<OpResult> MpiFile::write_at(int rank, common::Offset offset,
-                                           const std::uint8_t* data, common::ByteCount size) {
-  return do_op(rank, common::OpType::kWrite, offset, nullptr, data, size);
+                                           const std::uint8_t* data, common::ByteCount size,
+                                           common::JobId job, common::Seconds deadline) {
+  const BatchOp o{rank, offset, size, nullptr, data, job, deadline};
+  return do_one(common::OpType::kWrite, o);
 }
 
 common::Result<OpResult> MpiFile::write_at(int rank, common::Offset offset,

@@ -39,12 +39,13 @@ struct RedirectSegment {
 /// makes translation allocation-free in steady state.
 using SegmentList = common::SmallVec<RedirectSegment, 8>;
 
-/// Opaque resume position threaded through the translations of one batch.
-/// A batch translated in ascending-offset order with one shared cursor lets
-/// a table-backed interceptor resume each lookup where the previous one
-/// ended (the Drt sequential-hint path) instead of binary-searching from
-/// scratch per request.  Value-semantic and cheap; a stale cursor is only a
-/// cache miss, never a correctness problem.
+/// Opaque resume position threaded through a stream of translations (an
+/// MpiFile keeps one per handle).  A batch translated in ascending-offset
+/// order with one shared cursor lets a table-backed interceptor resume each
+/// lookup where the previous one ended (the Drt sequential-hint path)
+/// instead of binary-searching from scratch per request.  Value-semantic
+/// and cheap; a stale cursor is only a cache miss, never a correctness
+/// problem.
 struct TranslateCursor {
   std::size_t index = 0;
 };
@@ -120,7 +121,10 @@ struct BatchOp {
   common::ByteCount size = 0;
   std::uint8_t* read_out = nullptr;         ///< read_at_batch destination
   const std::uint8_t* write_data = nullptr; ///< write_at_batch payload
+  /// Tenant the op's server charges are billed to.
   common::JobId job = common::kDefaultJob;
+  /// End-to-end deadline in virtual seconds (infinity disables; enforced
+  /// only while the pfs has a guard attached).
   common::Seconds deadline = std::numeric_limits<double>::infinity();
 };
 
@@ -180,31 +184,39 @@ class MpiFile {
   common::ByteCount size() const { return pfs_->file_size(file_); }
 
   /// MPI_File_read_at: issues at the rank's current clock and advances it
-  /// to the completion time.
+  /// to the completion time.  A one-op read_at_batch: `job` and `deadline`
+  /// travel in the request (see BatchOp), so single-tenant callers leave
+  /// them defaulted.
   common::Result<OpResult> read_at(int rank, common::Offset offset, std::uint8_t* out,
-                                   common::ByteCount size);
+                                   common::ByteCount size,
+                                   common::JobId job = common::kDefaultJob,
+                                   common::Seconds deadline =
+                                       std::numeric_limits<double>::infinity());
 
-  /// MPI_File_write_at.
+  /// MPI_File_write_at, a one-op write_at_batch.
   common::Result<OpResult> write_at(int rank, common::Offset offset,
-                                    const std::uint8_t* data, common::ByteCount size);
+                                    const std::uint8_t* data, common::ByteCount size,
+                                    common::JobId job = common::kDefaultJob,
+                                    common::Seconds deadline =
+                                        std::numeric_limits<double>::infinity());
 
   /// Collective batched I/O (MPI_File_read_at_all-shaped): issues every op
-  /// of `ops` as ONE batched pfs call.  Per-op client overheads (tracer +
-  /// redirection lookup) are charged exactly as the serial path does, but
-  /// the batch translates in ascending-offset order under one shared
+  /// of `ops` as ONE batched pfs call.  Each op pays its own client
+  /// overheads (tracer + redirection lookup) from its rank's clock; the
+  /// batch translates in ascending-offset order under one shared
   /// TranslateCursor (so sorted batches ride the DRT sequential-hint path)
   /// and the pfs layer coalesces across ops and dispatches once per server.
   /// Outcomes — Statuses, timings, traced records, rank clocks — are
-  /// identical to calling read_at/write_at serially in list order.  See
-  /// BatchOp for the distinct-ranks requirement.
+  /// identical to calling read_at/write_at in list order.  See BatchOp for
+  /// the distinct-ranks requirement.
   void read_at_batch(std::span<const BatchOp> ops, BatchOutcomeVec& results);
   void write_at_batch(std::span<const BatchOp> ops, BatchOutcomeVec& results);
 
   /// Single-client vectored dispatch: every op issues at virtual instant
   /// `issue` as ONE batched pfs call — translated in ascending-offset order
   /// under a shared cursor, coalesced per server, one dispatch per touched
-  /// server.  Charges one redirection lookup per op (as the serial path
-  /// does) but touches no rank clock and no tracer: the caller owns the
+  /// server.  Charges one redirection lookup per op (as read_at does) but
+  /// touches no rank clock and no tracer: the caller owns the
   /// client timeline and folds the returned completions in itself.  This is
   /// the cache tier's flush/prefetch entry point — a write-back flush is
   /// many offset-sorted runs leaving one client at one instant, which the
@@ -223,11 +235,17 @@ class MpiFile {
   MpiFile(pfs::HybridPfs& pfs, MpiSim& mpi, std::string name, common::FileId file)
       : pfs_(&pfs), mpi_(&mpi), name_(std::move(name)), file_(file) {}
 
-  common::Result<OpResult> do_op(int rank, common::OpType op, common::Offset offset,
-                                 std::uint8_t* read_out, const std::uint8_t* write_data,
-                                 common::ByteCount size);
+  /// Rank-clock and tracer wrapper around run_ops: every read/write entry
+  /// point except dispatch_bulk lands here.
   void do_op_batch(common::OpType op, std::span<const BatchOp> ops,
                    BatchOutcomeVec& results);
+  /// read_at/write_at: `o` as a one-op batch.
+  common::Result<OpResult> do_one(common::OpType op, const BatchOp& o);
+  /// The one translate -> assemble -> pfs batch -> fold implementation.
+  /// Op i issues at batch_issue_[i] (filled by the caller); `folded` gets
+  /// each op's first failing Status, or its slowest segment's completion.
+  template <typename Op>
+  void run_ops(common::OpType op, std::span<const Op> ops, BulkOutcomeVec& folded);
 
   pfs::HybridPfs* pfs_;
   MpiSim* mpi_;
@@ -239,8 +257,12 @@ class MpiFile {
   /// Per-handle translation scratch, reused across requests (the handle is
   /// single-client; see the thread-safety rule in core/drt.hpp).
   SegmentList segments_;
+  /// Translation position kept across calls, so consecutive one-op calls
+  /// on a sequential stream resume the lookup too (stale = a cache miss).
+  TranslateCursor cursor_;
   // Batched-path scratch, reused across batches (same single-client rule).
-  /// Per-op issue times (rank clock + client overheads).
+  /// Per-op issue times (rank clock + client overheads, or the bulk
+  /// instant + lookup).
   common::SmallVec<common::Seconds, 8> batch_issue_;
   /// Op indices in ascending-offset translation order.
   common::SmallVec<std::uint32_t, 8> batch_order_;
@@ -250,6 +272,8 @@ class MpiFile {
   /// The assembled pfs batch (group = op index) and its results.
   common::SmallVec<pfs::BatchRequest, 16> batch_reqs_;
   pfs::BatchResultVec batch_results_;
+  /// Folded per-op outcomes of a do_op_batch call.
+  BulkOutcomeVec op_outcomes_;
 };
 
 }  // namespace mha::io

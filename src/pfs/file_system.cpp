@@ -124,12 +124,12 @@ common::Status HybridPfs::charge(common::OpType op, const BatchRequest& r, std::
     // background work — it loads the server queue (and so delays this
     // request through contention) but does not gate its completion.
     fault::FaultMetrics& metrics = fault_->metrics();
-    for (const fault::RedoEntry& entry :
-         fault_->redo().take_replayable(fault_->injector(), r.arrival)) {
-      row_.server(entry.server).submit(common::OpType::kWrite, entry.bytes, r.arrival);
-      ++metrics.redo_replayed;
-      metrics.redo_bytes += entry.bytes;
-    }
+    fault_->redo().drain_replayable(
+        fault_->injector(), r.arrival, [&](const fault::RedoEntry& entry) {
+          row_.server(entry.server).submit(common::OpType::kWrite, entry.bytes, r.arrival);
+          ++metrics.redo_replayed;
+          metrics.redo_bytes += entry.bytes;
+        });
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       fault_->note_server_state(i, fault_->injector().offline(i, r.arrival));
     }
@@ -322,9 +322,9 @@ common::Result<common::FileId> HybridPfs::open(const std::string& name) const {
 
 common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset offset,
                                           const std::uint8_t* data, common::ByteCount size,
-                                          common::Seconds arrival) {
-  const BatchRequest req{file, offset, size, nullptr, data, arrival, active_job_,
-                         active_deadline_, 0};
+                                          common::Seconds arrival, common::JobId job,
+                                          common::Seconds deadline) {
+  const BatchRequest req{file, offset, size, nullptr, data, arrival, job, deadline, 0};
   BatchResultVec results;
   run_batch(common::OpType::kWrite, {&req, 1}, results);
   if (!results[0].status.is_ok()) return results[0].status;
@@ -333,9 +333,9 @@ common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset of
 
 common::Result<IoResult> HybridPfs::read(common::FileId file, common::Offset offset,
                                          std::uint8_t* out, common::ByteCount size,
-                                         common::Seconds arrival) {
-  const BatchRequest req{file, offset, size, out, nullptr, arrival, active_job_,
-                         active_deadline_, 0};
+                                         common::Seconds arrival, common::JobId job,
+                                         common::Seconds deadline) {
+  const BatchRequest req{file, offset, size, out, nullptr, arrival, job, deadline, 0};
   BatchResultVec results;
   run_batch(common::OpType::kRead, {&req, 1}, results);
   if (!results[0].status.is_ok()) return results[0].status;
@@ -659,13 +659,15 @@ std::string HybridPfs::stats_table() const {
 common::Status copy_range(HybridPfs& pfs, common::FileId from, common::Offset from_offset,
                           common::FileId to, common::Offset to_offset,
                           common::ByteCount length, common::ByteCount chunk,
-                          std::vector<std::uint8_t>& buffer, common::Seconds& clock) {
+                          std::vector<std::uint8_t>& buffer, common::Seconds& clock,
+                          common::JobId job) {
   for (common::ByteCount moved = 0; moved < length;) {
     const common::ByteCount piece = std::min(chunk, length - moved);
     buffer.resize(piece);
-    auto read = pfs.read(from, from_offset + moved, buffer.data(), piece, clock);
+    auto read = pfs.read(from, from_offset + moved, buffer.data(), piece, clock, job);
     if (!read.is_ok()) return read.status();
-    auto write = pfs.write(to, to_offset + moved, buffer.data(), piece, read->completion);
+    auto write =
+        pfs.write(to, to_offset + moved, buffer.data(), piece, read->completion, job);
     if (!write.is_ok()) return write.status();
     clock = write->completion;
     moved += piece;

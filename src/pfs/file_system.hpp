@@ -116,14 +116,6 @@ class HybridPfs {
   /// The scheduler-facing view over this cluster's server queues.
   const sched::ServerRow& server_row() const { return row_; }
 
-  /// Tenant job every subsequent read/write is charged against.  read() and
-  /// write() stamp it into their one-request batch (a store, not an
-  /// allocation, so the zero-alloc request path is untouched); batched
-  /// callers carry the job in each BatchRequest instead.  Single-tenant
-  /// callers never touch it and stay on job 0.
-  void set_active_job(common::JobId job) { active_job_ = job; }
-  common::JobId active_job() const { return active_job_; }
-
   /// Attaches an overload guard (borrowed; may be nullptr).  While set, the
   /// charge stage consults the guard's admission gate for every request
   /// (shedding with a typed kOverloaded Status before any server is
@@ -136,13 +128,6 @@ class HybridPfs {
   /// request.
   void set_guard(guard::OverloadGuard* g) { guard_ = g; }
   guard::OverloadGuard* guard() const { return guard_; }
-
-  /// End-to-end deadline read() and write() stamp into their request
-  /// (virtual seconds; infinity disables).  The replayer stamps arrival +
-  /// the job's tier allowance before each request, same store-only contract
-  /// as set_active_job.  Enforced only while a guard is attached.
-  void set_active_deadline(common::Seconds deadline) { active_deadline_ = deadline; }
-  common::Seconds active_deadline() const { return active_deadline_; }
 
   /// Attaches a fault context (borrowed; may be nullptr).  While set, every
   /// server queue consults the context's injector (crashes push start times,
@@ -195,15 +180,24 @@ class HybridPfs {
 
   common::Result<common::FileId> open(const std::string& name) const;
 
-  /// One-request batches: the request carries the active job and deadline
-  /// and runs through write_batch/read_batch's stages.
+  /// One-request batches through write_batch/read_batch's stages.  `job`
+  /// is the tenant the server charges are billed to; `deadline` is the
+  /// request's end-to-end deadline in virtual seconds (infinity disables;
+  /// enforced only while a guard is attached).  Both travel in the request,
+  /// so single-tenant callers leave them defaulted.
   common::Result<IoResult> write(common::FileId file, common::Offset offset,
                                  const std::uint8_t* data, common::ByteCount size,
-                                 common::Seconds arrival);
+                                 common::Seconds arrival,
+                                 common::JobId job = common::kDefaultJob,
+                                 common::Seconds deadline =
+                                     std::numeric_limits<double>::infinity());
 
   common::Result<IoResult> read(common::FileId file, common::Offset offset,
                                 std::uint8_t* out, common::ByteCount size,
-                                common::Seconds arrival);
+                                common::Seconds arrival,
+                                common::JobId job = common::kDefaultJob,
+                                common::Seconds deadline =
+                                    std::numeric_limits<double>::infinity());
 
   /// The request path.  Each request runs the same stages in order:
   /// translate (dead-server subs retarget to the replica for reads or are
@@ -330,8 +324,6 @@ class HybridPfs {
   /// FileId -> replica FileId (kInvalidFileId), grown by set_replica only.
   std::vector<common::FileId> replica_of_;
   FailoverStats failover_stats_;
-  common::JobId active_job_ = common::kDefaultJob;
-  common::Seconds active_deadline_ = std::numeric_limits<double>::infinity();
   sched::ServerRow row_;
   // Request-path scratch, reused across calls so the steady state performs
   // zero heap allocations per request.  Same single-client rule as Drt's
@@ -361,11 +353,14 @@ inline constexpr common::ByteCount kDefaultStripe = 64 * 1024;
 /// Copies `length` bytes of `from` starting at `from_offset` to `to` starting
 /// at `to_offset`, in pieces of at most `chunk` bytes: each piece is read at
 /// `clock` and written at the read's completion, and `clock` advances to the
-/// write's completion.  `buffer` is caller-owned scratch.  The placer, online
-/// foldback, migration recovery and the rebuilder all move data this way.
+/// write's completion.  `buffer` is caller-owned scratch.  Both halves are
+/// charged to `job` with no deadline.  The placer, online foldback and
+/// migration recovery move data this way on job 0; the rebuilder passes its
+/// QoS job.
 common::Status copy_range(HybridPfs& pfs, common::FileId from, common::Offset from_offset,
                           common::FileId to, common::Offset to_offset,
                           common::ByteCount length, common::ByteCount chunk,
-                          std::vector<std::uint8_t>& buffer, common::Seconds& clock);
+                          std::vector<std::uint8_t>& buffer, common::Seconds& clock,
+                          common::JobId job = common::kDefaultJob);
 
 }  // namespace mha::pfs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <limits>
 
 #include "common/log.hpp"
 #include "common/units.hpp"
@@ -46,26 +45,6 @@ bool is_replica_name(std::string_view name) {
   return suffix.size() >= 3 && suffix.substr(0, 3) == "rep" &&
          (suffix.size() == 3 || all_digits(suffix.substr(3)));
 }
-
-/// Stamps the rebuild's QoS job (and an infinite deadline) on the PFS for
-/// one copy burst, restoring the caller's tenant on every exit path.
-class JobScope {
- public:
-  JobScope(pfs::HybridPfs& pfs, common::JobId job)
-      : pfs_(pfs), prev_job_(pfs.active_job()), prev_deadline_(pfs.active_deadline()) {
-    pfs_.set_active_job(job);
-    pfs_.set_active_deadline(std::numeric_limits<double>::infinity());
-  }
-  ~JobScope() {
-    pfs_.set_active_job(prev_job_);
-    pfs_.set_active_deadline(prev_deadline_);
-  }
-
- private:
-  pfs::HybridPfs& pfs_;
-  common::JobId prev_job_;
-  common::Seconds prev_deadline_;
-};
 
 }  // namespace
 
@@ -302,17 +281,14 @@ common::Status Rebuilder::copy_pump(common::Seconds now, bool unbounded) {
 
     const common::ByteCount piece =
         std::min<common::ByteCount>(options_.chunk, task.length - task_pos_);
-    {
-      JobScope scope(pfs_, options_.job);
-      common::Seconds written = next_issue_;
-      MHA_RETURN_IF_ERROR(pfs::copy_range(pfs_, task.source, task_pos_, task.dest, task_pos_,
-                                          piece, piece, buffer_, written));
-      // Pacing: closed-loop when unthrottled (next chunk at this one's
-      // completion), token-paced otherwise — whichever is later.
-      const common::Seconds pace =
-          options_.rate > 0.0 ? static_cast<double>(piece) / options_.rate : 0.0;
-      next_issue_ = std::max(written, next_issue_ + pace);
-    }
+    common::Seconds written = next_issue_;
+    MHA_RETURN_IF_ERROR(pfs::copy_range(pfs_, task.source, task_pos_, task.dest, task_pos_,
+                                        piece, piece, buffer_, written, options_.job));
+    // Pacing: closed-loop when unthrottled (next chunk at this one's
+    // completion), token-paced otherwise — whichever is later.
+    const common::Seconds pace =
+        options_.rate > 0.0 ? static_cast<double>(piece) / options_.rate : 0.0;
+    next_issue_ = std::max(written, next_issue_ + pace);
     task_pos_ += piece;
     report_.bytes_copied += piece;
     if (journal_.is_open()) {
@@ -378,9 +354,9 @@ common::Status Rebuilder::finish(common::Seconds now) {
         if (!primary.is_ok()) return primary.status();
         source = *primary;
       }
-      JobScope scope(pfs_, options_.job);
       MHA_RETURN_IF_ERROR(pfs::copy_range(pfs_, source, e.r_offset, task.dest, e.r_offset,
-                                          e.length, options_.chunk, buffer_, issue));
+                                          e.length, options_.chunk, buffer_, issue,
+                                          options_.job));
       report_.bytes_recopied += e.length;
     }
     MHA_RETURN_IF_ERROR(drt.retarget_region(task.old_name, task.new_name));

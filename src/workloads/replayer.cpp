@@ -93,28 +93,13 @@ class FaultGuard {
   pfs::HybridPfs& pfs_;
 };
 
-/// Restores the PFS to the default job on every exit path, so a multi-tenant
-/// replay never leaves its last tenant's stamp on later single-tenant work.
-class JobGuard {
- public:
-  explicit JobGuard(pfs::HybridPfs& pfs) : pfs_(pfs) {}
-  ~JobGuard() { pfs_.set_active_job(common::kDefaultJob); }
-
- private:
-  pfs::HybridPfs& pfs_;
-};
-
-/// Same idiom for the overload guard; also resets the active deadline so a
-/// guarded replay never leaves a stale finite deadline on later work.
+/// Same idiom for the overload guard.
 class OverloadGuardGuard {
  public:
   OverloadGuardGuard(pfs::HybridPfs& pfs, guard::OverloadGuard* g) : pfs_(pfs) {
     if (g != nullptr) pfs_.set_guard(g);
   }
-  ~OverloadGuardGuard() {
-    pfs_.set_guard(nullptr);
-    pfs_.set_active_deadline(std::numeric_limits<double>::infinity());
-  }
+  ~OverloadGuardGuard() { pfs_.set_guard(nullptr); }
 
  private:
   pfs::HybridPfs& pfs_;
@@ -130,7 +115,6 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
   const int world = world_size_of(trace);
   SchedulerGuard scheduler_guard(pfs, options.scheduler);
   FaultGuard fault_guard(pfs, options.fault_context);
-  JobGuard job_guard(pfs);
   OverloadGuardGuard overload_guard(pfs, options.guard);
   if (options.guard != nullptr && options.jobs != nullptr) {
     // Seed the guard's job -> tier map from the registry's priority classes
@@ -152,12 +136,11 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
   io::Tracer tracer(deployment.file_name, options.tracer_overhead);
   if (options.trace_run) file->set_tracer(&tracer);
 
-  // Cached replays route every record through the page cache; the collective
-  // batched path is disabled because the cache issues its own bulk
-  // dispatches (fills, prefetches, coalesced flushes).
+  // Cached replays route every record through the page cache, one at a
+  // time; the collective batched path is disabled because the cache issues
+  // its own bulk dispatches (fills, prefetches, coalesced flushes).
   std::optional<cache::CachedFile> cached;
   if (options.cache != nullptr) cached.emplace(*file, mpi, pfs, *options.cache);
-  const bool use_batch = options.batch_requests && !cached.has_value();
 
   Shadow shadow(options.verify_data, trace::extent_end(trace.records),
                 deployment.interceptor.get());
@@ -165,8 +148,6 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
       options.verify_data || (pfs.num_servers() > 0 && pfs.data_server(0).stores_data());
 
   ReplayResult result;
-  std::vector<std::uint8_t> buffer;
-  buffer.reserve(trace::max_request_size(trace.records));
   common::Percentiles latency_pcts;
   latency_pcts.reserve(trace.records.size());
 
@@ -184,85 +165,9 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
     }
   }
 
-  auto issue = [&](const trace::TraceRecord& r) -> common::Status {
-    buffer.resize(r.size);
-    const common::JobId job =
-        options.jobs != nullptr ? options.jobs->job_of_rank(r.rank) : common::kDefaultJob;
-    if (options.jobs != nullptr) pfs.set_active_job(job);
-    const auto tier = options.jobs != nullptr
-                          ? static_cast<std::size_t>(options.jobs->priority(job))
-                          : static_cast<std::size_t>(qos::PriorityClass::kNormal);
-    const common::Seconds allowance = options.goodput_allowance[tier];
-    if (options.guard != nullptr) {
-      // End-to-end deadline: the rank's clock *now* (request issue, not the
-      // trace's nominal t_start) plus its tier's allowance.
-      pfs.set_active_deadline(mpi.now(r.rank) + allowance);
-    }
-    common::Seconds duration = 0.0;
-    common::Status failure = common::Status::ok();
-    if (r.op == common::OpType::kWrite) {
-      if (fill_payload) {
-        replay_write_fill(r.offset, buffer.data(), r.size);
-      }
-      auto op = cached.has_value() ? cached->write_at(r.rank, r.offset, buffer.data(), r.size)
-                                   : file->write_at(r.rank, r.offset, buffer.data(), r.size);
-      if (op.is_ok()) {
-        shadow.on_write(r.offset, buffer.data(), r.size);
-        result.bytes_written += r.size;
-        duration = op->duration();
-      } else {
-        failure = op.status();
-      }
-    } else {
-      auto op = cached.has_value() ? cached->read_at(r.rank, r.offset, buffer.data(), r.size)
-                                   : file->read_at(r.rank, r.offset, buffer.data(), r.size);
-      if (op.is_ok()) {
-        MHA_RETURN_IF_ERROR(shadow.check_read(r.offset, buffer.data(), r.size));
-        result.bytes_read += r.size;
-        duration = op->duration();
-      } else {
-        failure = op.status();
-      }
-    }
-    ++result.requests;
-    if (!failure.is_ok()) {
-      // Corruption is never an overload symptom — always fatal.
-      if (!options.tolerate_failures ||
-          failure.code() == common::ErrorCode::kCorruption) {
-        return failure;
-      }
-      if (failure.code() == common::ErrorCode::kOverloaded) {
-        ++result.shed_requests;
-        if (!result.tenants.empty()) ++result.tenants[job].shed;
-      } else {
-        ++result.failed_requests;
-        if (!result.tenants.empty()) ++result.tenants[job].failed;
-      }
-      return common::Status::ok();
-    }
-    result.request_latency.add(duration);
-    latency_pcts.add(duration);
-    if (!result.tenants.empty()) result.tenants[job].observe(duration, r.size);
-    if (duration <= allowance) {
-      result.goodput_bytes += r.size;
-      if (!result.tenants.empty()) result.tenants[job].goodput_bytes += r.size;
-    } else {
-      ++result.late_requests;
-      if (!result.tenants.empty()) ++result.tenants[job].late;
-    }
-    return common::Status::ok();
-  };
-
-  // Batched synchronous issue: the current maximal run of same-op,
-  // distinct-rank records (in plan order) plus its payload arena.  One
-  // arena resize per run; slices address each record's bytes, so the whole
-  // run moves through one collective call with zero per-record allocation.
-  std::vector<const trace::TraceRecord*> run;
-  std::vector<std::uint8_t> rank_used(static_cast<std::size_t>(world), 0);
-  std::vector<std::uint8_t> batch_buf;
-  std::vector<io::BatchOp> batch_ops;
-  io::BatchOutcomeVec batch_outcomes;
-
+  // Every record carries its issuing rank's job and, under a guard, an
+  // end-to-end deadline: the rank's clock at issue (not the trace's nominal
+  // t_start) plus its tier's allowance.
   const auto job_of = [&](const trace::TraceRecord& r) {
     return options.jobs != nullptr ? options.jobs->job_of_rank(r.rank)
                                    : common::kDefaultJob;
@@ -273,93 +178,133 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
                           : static_cast<std::size_t>(qos::PriorityClass::kNormal);
     return options.goodput_allowance[tier];
   };
+  const auto deadline_of = [&](const trace::TraceRecord& r, common::JobId job) {
+    return options.guard != nullptr ? mpi.now(r.rank) + allowance_of(job)
+                                    : std::numeric_limits<double>::infinity();
+  };
+
+  // Per-record accounting, shared by every issue path.  `bytes` is the
+  // record's payload (writes) or destination (reads).  A tolerated failure
+  // is counted and swallowed; corruption always aborts.
+  const auto account = [&](const trace::TraceRecord& r, const common::Status& status,
+                           const std::uint8_t* bytes,
+                           common::Seconds duration) -> common::Status {
+    const common::JobId job = job_of(r);
+    ++result.requests;
+    if (!status.is_ok()) {
+      if (!options.tolerate_failures || status.code() == common::ErrorCode::kCorruption) {
+        return status;
+      }
+      if (status.code() == common::ErrorCode::kOverloaded) {
+        ++result.shed_requests;
+        if (!result.tenants.empty()) ++result.tenants[job].shed;
+      } else {
+        ++result.failed_requests;
+        if (!result.tenants.empty()) ++result.tenants[job].failed;
+      }
+      return common::Status::ok();
+    }
+    if (r.op == common::OpType::kWrite) {
+      shadow.on_write(r.offset, bytes, r.size);
+      result.bytes_written += r.size;
+    } else {
+      MHA_RETURN_IF_ERROR(shadow.check_read(r.offset, bytes, r.size));
+      result.bytes_read += r.size;
+    }
+    result.request_latency.add(duration);
+    latency_pcts.add(duration);
+    if (!result.tenants.empty()) result.tenants[job].observe(duration, r.size);
+    if (duration <= allowance_of(job)) {
+      result.goodput_bytes += r.size;
+      if (!result.tenants.empty()) result.tenants[job].goodput_bytes += r.size;
+    } else {
+      ++result.late_requests;
+      if (!result.tenants.empty()) ++result.tenants[job].late;
+    }
+    return common::Status::ok();
+  };
+
+  // Payload arena: one slice per record of the current run (or the one
+  // cached record), grown to the largest run and then reused.
+  std::vector<std::uint8_t> arena;
+  const auto slice_payload = [&](const trace::TraceRecord& r, common::ByteCount at) {
+    std::uint8_t* slice = arena.data() + at;
+    if (r.op == common::OpType::kWrite && fill_payload) {
+      replay_write_fill(r.offset, slice, r.size);
+    }
+    return slice;
+  };
+
+  // A cached record goes to the page cache on its own.
+  const auto issue_cached = [&](const trace::TraceRecord& r) -> common::Status {
+    if (arena.size() < r.size) arena.resize(r.size);
+    std::uint8_t* slice = slice_payload(r, 0);
+    const common::JobId job = job_of(r);
+    const common::Seconds deadline = deadline_of(r, job);
+    auto op = r.op == common::OpType::kWrite
+                  ? cached->write_at(r.rank, r.offset, slice, r.size, job, deadline)
+                  : cached->read_at(r.rank, r.offset, slice, r.size, job, deadline);
+    return account(r, op.status(), slice, op.is_ok() ? op->duration() : 0.0);
+  };
+
+  // Uncached records go out as runs: same-op records on distinct ranks, in
+  // plan order, issued through one collective call.  A lone record, every
+  // record with batching off, and every record in independent mode is a
+  // run of one.
+  std::vector<const trace::TraceRecord*> run;
+  std::vector<std::uint8_t> rank_used(static_cast<std::size_t>(world), 0);
+  std::vector<io::BatchOp> batch_ops;
+  io::BatchOutcomeVec batch_outcomes;
 
   auto flush_run = [&]() -> common::Status {
+    if (run.empty()) return common::Status::ok();
+    const common::OpType op = run[0]->op;
+    common::ByteCount total = 0;
+    for (const trace::TraceRecord* r : run) total += r->size;
+    if (arena.size() < total) arena.resize(total);
+    batch_ops.clear();
+    common::ByteCount off = 0;
+    for (const trace::TraceRecord* r : run) {
+      std::uint8_t* slice = slice_payload(*r, off);
+      const common::JobId job = job_of(*r);
+      batch_ops.push_back(io::BatchOp{
+          r->rank, r->offset, r->size, op == common::OpType::kRead ? slice : nullptr,
+          op == common::OpType::kWrite ? slice : nullptr, job, deadline_of(*r, job)});
+      off += r->size;
+    }
+    const std::span<const io::BatchOp> ops(batch_ops.data(), batch_ops.size());
+    if (op == common::OpType::kRead) {
+      file->read_at_batch(ops, batch_outcomes);
+    } else {
+      file->write_at_batch(ops, batch_outcomes);
+    }
     common::Status failure = common::Status::ok();
-    if (run.size() == 1) {
-      // A lone record pays none of the batch assembly; issue() is already
-      // the exact serial path.
-      failure = issue(*run[0]);
-    } else if (!run.empty()) {
-      const common::OpType op = run[0]->op;
-      common::ByteCount total = 0;
-      for (const trace::TraceRecord* r : run) total += r->size;
-      if (batch_buf.size() < total) batch_buf.resize(total);
-      batch_ops.clear();
-      common::ByteCount off = 0;
-      for (const trace::TraceRecord* r : run) {
-        const common::JobId job = job_of(*r);
-        common::Seconds deadline = std::numeric_limits<double>::infinity();
-        if (options.guard != nullptr) {
-          // Same stamp as issue(): the rank's clock now + the tier allowance.
-          deadline = mpi.now(r->rank) + allowance_of(job);
-        }
-        std::uint8_t* slice = batch_buf.data() + off;
-        if (op == common::OpType::kWrite && fill_payload) {
-          replay_write_fill(r->offset, slice, r->size);
-        }
-        batch_ops.push_back(io::BatchOp{
-            r->rank, r->offset, r->size, op == common::OpType::kRead ? slice : nullptr,
-            op == common::OpType::kWrite ? slice : nullptr, job, deadline});
-        off += r->size;
-      }
-      const std::span<const io::BatchOp> ops(batch_ops.data(), batch_ops.size());
-      if (op == common::OpType::kRead) {
-        file->read_at_batch(ops, batch_outcomes);
-      } else {
-        file->write_at_batch(ops, batch_outcomes);
-      }
-      // Per-record bookkeeping, replicating issue()'s accounting exactly.
-      off = 0;
-      for (std::size_t i = 0; i < run.size() && failure.is_ok(); ++i) {
-        const trace::TraceRecord* r = run[i];
-        const std::uint8_t* slice = batch_buf.data() + off;
-        off += r->size;
-        const common::JobId job = job_of(*r);
-        const common::Seconds allowance = allowance_of(job);
-        const io::BatchOpOutcome& oc = batch_outcomes[i];
-        ++result.requests;
-        if (!oc.status.is_ok()) {
-          if (!options.tolerate_failures ||
-              oc.status.code() == common::ErrorCode::kCorruption) {
-            failure = oc.status;
-            break;
-          }
-          if (oc.status.code() == common::ErrorCode::kOverloaded) {
-            ++result.shed_requests;
-            if (!result.tenants.empty()) ++result.tenants[job].shed;
-          } else {
-            ++result.failed_requests;
-            if (!result.tenants.empty()) ++result.tenants[job].failed;
-          }
-          continue;
-        }
-        if (op == common::OpType::kWrite) {
-          shadow.on_write(r->offset, slice, r->size);
-          result.bytes_written += r->size;
-        } else {
-          failure = shadow.check_read(r->offset, slice, r->size);
-          if (!failure.is_ok()) break;
-          result.bytes_read += r->size;
-        }
-        const common::Seconds duration = oc.op.duration();
-        result.request_latency.add(duration);
-        latency_pcts.add(duration);
-        if (!result.tenants.empty()) result.tenants[job].observe(duration, r->size);
-        if (duration <= allowance) {
-          result.goodput_bytes += r->size;
-          if (!result.tenants.empty()) result.tenants[job].goodput_bytes += r->size;
-        } else {
-          ++result.late_requests;
-          if (!result.tenants.empty()) ++result.tenants[job].late;
-        }
-      }
+    off = 0;
+    for (std::size_t i = 0; i < run.size() && failure.is_ok(); ++i) {
+      const io::BatchOpOutcome& oc = batch_outcomes[i];
+      failure = account(*run[i], oc.status, arena.data() + off, oc.op.duration());
+      off += run[i]->size;
     }
     for (const trace::TraceRecord* r : run) {
       rank_used[static_cast<std::size_t>(r->rank)] = 0;
     }
     run.clear();
     return failure;
+  };
+
+  // Issues one record: through the cache, or by appending it to the run.
+  // A run breaks on an op-type change or a rank repeat (the second request
+  // of one rank must see its first one's completion — the closed-loop
+  // contract), and after every record when `batch` is off.
+  const auto submit = [&](const trace::TraceRecord& r, bool batch) -> common::Status {
+    if (cached.has_value()) return issue_cached(r);
+    if (!run.empty() &&
+        (r.op != run[0]->op || rank_used[static_cast<std::size_t>(r.rank)] != 0)) {
+      MHA_RETURN_IF_ERROR(flush_run());
+    }
+    run.push_back(&r);
+    rank_used[static_cast<std::size_t>(r.rank)] = 1;
+    return batch ? common::Status::ok() : flush_run();
   };
 
   if (options.mode == ReplayMode::kSynchronous) {
@@ -377,33 +322,14 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
         std::vector<common::Request> batch;
         batch.reserve(group.size());
         for (const trace::TraceRecord* r : group) {
-          const common::JobId job = options.jobs != nullptr
-                                        ? options.jobs->job_of_rank(r->rank)
-                                        : common::kDefaultJob;
-          const auto tier = options.jobs != nullptr
-                                ? static_cast<std::size_t>(options.jobs->priority(job))
-                                : static_cast<std::size_t>(qos::PriorityClass::kNormal);
-          batch.push_back(common::Request{r->rank, r->op, r->offset, r->size,
-                                          r->t_start, job,
-                                          r->t_start + options.goodput_allowance[tier]});
+          const common::JobId job = job_of(*r);
+          batch.push_back(common::Request{r->rank, r->op, r->offset, r->size, r->t_start,
+                                          job, r->t_start + allowance_of(job)});
         }
         order = options.scheduler->plan(batch);
       }
       for (std::size_t i : order) {
-        const trace::TraceRecord* r = group[i];
-        if (!use_batch) {
-          MHA_RETURN_IF_ERROR(issue(*r));
-          continue;
-        }
-        // A run breaks on an op-type change or a rank repeat: the second
-        // request of one rank must see its first one's completion (the
-        // closed-loop contract), so it belongs to the next batch.
-        if (!run.empty() &&
-            (r->op != run[0]->op || rank_used[static_cast<std::size_t>(r->rank)] != 0)) {
-          MHA_RETURN_IF_ERROR(flush_run());
-        }
-        run.push_back(r);
-        rank_used[static_cast<std::size_t>(r->rank)] = 1;
+        MHA_RETURN_IF_ERROR(submit(*group[i], options.batch_requests));
       }
       MHA_RETURN_IF_ERROR(flush_run());
       mpi.barrier();
@@ -434,7 +360,7 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
       heap.pop();
       auto& queue = per_rank[static_cast<std::size_t>(rank)];
       auto& pos = cursor[static_cast<std::size_t>(rank)];
-      MHA_RETURN_IF_ERROR(issue(*queue[pos]));
+      MHA_RETURN_IF_ERROR(submit(*queue[pos], /*batch=*/false));
       if (++pos < queue.size()) heap.emplace(mpi.now(rank), rank);
     }
   }

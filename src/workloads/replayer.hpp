@@ -57,16 +57,16 @@ struct ReplayOptions {
   /// retry/degraded-read/redo decision lands in the context's FaultMetrics.
   fault::FaultContext* fault_context = nullptr;
   /// Tenant registry (borrowed; null replays single-tenant).  When attached,
-  /// every request is stamped with its issuing rank's job before dispatch —
-  /// so per-job rows accumulate in the ServerSims and fair-share schedulers
-  /// see real job identities — and the result carries per-tenant latency
-  /// collectors alongside the aggregate ones.
+  /// every request carries its issuing rank's job — so per-job rows
+  /// accumulate in the ServerSims and fair-share schedulers see real job
+  /// identities — and the result carries per-tenant latency collectors
+  /// alongside the aggregate ones.
   const qos::JobTable* jobs = nullptr;
   /// Overload guard to dispatch under (borrowed; null replays unguarded).
   /// While attached, the PFS consults its admission gate/breakers/retry
-  /// tokens, each request is stamped with issue + its tier's
-  /// goodput_allowance as the end-to-end deadline, and job -> tier mappings
-  /// are seeded from the job table's priority classes.
+  /// tokens, each request carries issue + its tier's goodput_allowance as
+  /// its end-to-end deadline, and job -> tier mappings are seeded from the
+  /// job table's priority classes.
   guard::OverloadGuard* guard = nullptr;
   /// Per-priority-tier completion allowance in seconds from issue (index =
   /// qos::PriorityClass value: batch, normal, interactive).  A request
@@ -81,14 +81,15 @@ struct ReplayOptions {
   /// aborting the replay.  Data corruption still aborts — a wrong byte is
   /// never an overload symptom.
   bool tolerate_failures = false;
-  /// Synchronous mode only: issue each iteration's plan-ordered records
-  /// through the collective batched path (MpiFile::read_at_batch /
-  /// write_at_batch) — maximal same-op runs over distinct ranks become one
-  /// batch each, translated under a shared DRT cursor and dispatched once
-  /// per server at the PFS.  Semantically identical to per-record issue
-  /// (the batched-vs-serial equivalence suite pins stored bytes, per-job
-  /// server stats and Statuses); disable to A/B the serial path.
-  /// Independent mode always issues per record.
+  /// Synchronous mode only: issue each iteration's plan-ordered records in
+  /// maximal same-op runs over distinct ranks, one collective call
+  /// (MpiFile::read_at_batch / write_at_batch) per run — translated under a
+  /// shared DRT cursor and dispatched once per server at the PFS.  When
+  /// false every record is a run of one through the same code, the
+  /// reference the batched-vs-serial equivalence suite pins stored bytes,
+  /// per-job server stats and Statuses against.  Independent mode always
+  /// issues runs of one.  Either way each record carries its own job and
+  /// deadline in the request.
   bool batch_requests = true;
   /// Client-side page cache to replay through (borrowed; null replays
   /// uncached).  All requests route through a cache::CachedFile wrapped

@@ -10,6 +10,8 @@
 
 #include "common/alloc_counter.hpp"
 #include "core/redirector.hpp"
+#include "fault/context.hpp"
+#include "fault/injector.hpp"
 #include "io/mpi_file.hpp"
 #include "pfs/file_system.hpp"
 #include "sim/cluster_sim.hpp"
@@ -115,6 +117,53 @@ TEST(AllocCount, SteadyStateUnalignedRequestsAreZeroAllocToo) {
       EXPECT_EQ(allocs, 0u);
     }
   }
+}
+
+TEST(AllocCount, ChargingPastParkedRedoEntriesIsZeroAlloc) {
+  // Every request charged under a fault context first replays the redo
+  // entries whose servers are back.  With HServer 0 down throughout, 64
+  // writes park there; the reads that follow touch only server 1, and
+  // draining the still-parked log must not allocate for them.
+  sim::ClusterConfig config;
+  config.num_hservers = 2;
+  config.num_sservers = 2;
+  pfs::HybridPfs pfs(config);
+  auto id = pfs.create_file("redo");  // 64 KiB stripes: server 0, then 1
+  ASSERT_TRUE(id.is_ok());
+  constexpr common::ByteCount kStripe = 64 * 1024;
+  constexpr common::ByteCount kRequest = 4 * 1024;
+
+  fault::FaultInjector injector(1);
+  fault::FaultWindow crash;
+  crash.server = 0;
+  crash.kind = fault::FaultKind::kCrash;
+  crash.start = 0.0;
+  crash.end = 1e9;
+  injector.add(crash);
+  fault::FaultContext context(injector);
+  pfs.set_fault_context(&context);
+
+  std::vector<std::uint8_t> buffer(kRequest, 0x7C);
+  for (common::Offset i = 0; i < 64; ++i) {
+    ASSERT_TRUE(pfs.write(*id, (i * kRequest) % kStripe, buffer.data(), kRequest, 0.0).is_ok());
+  }
+  ASSERT_EQ(context.redo().size(), 64u);
+  // Warm-up: server 1's stripe written and read once.
+  for (common::Offset pos = kStripe; pos < 2 * kStripe; pos += kRequest) {
+    ASSERT_TRUE(pfs.write(*id, pos, buffer.data(), kRequest, 1.0).is_ok());
+    ASSERT_TRUE(pfs.read(*id, pos, buffer.data(), kRequest, 1.0).is_ok());
+  }
+
+  common::AllocationScope scope;
+  for (common::Offset i = 0; i < 256; ++i) {
+    const common::Offset pos = kStripe + (i * kRequest) % kStripe;
+    ASSERT_TRUE(pfs.read(*id, pos, buffer.data(), kRequest, 2.0).is_ok());
+  }
+  const std::uint64_t allocs = scope.allocations();
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations over 256 reads";
+  EXPECT_EQ(context.redo().size(), 64u);
+  EXPECT_EQ(injector.metrics().redo_replayed, 0u);
+  pfs.set_fault_context(nullptr);
 }
 
 }  // namespace

@@ -16,10 +16,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/units.hpp"
@@ -53,6 +56,15 @@ struct ComboSpec {
   bool use_guard = false;
   bool use_jobs = false;
 };
+
+/// Prints the parameter by name: gtest's default dumps the object's bytes,
+/// string pointers included, so the listed test names would change from
+/// build to build.
+void PrintTo(const ComboSpec& c, std::ostream* os) {
+  *os << c.scheme << '/' << c.workload << '/'
+      << (c.use_scheduler ? to_string(c.scheduler) : "direct") << (c.use_guard ? "/guard" : "")
+      << (c.use_jobs ? "/jobs" : "");
+}
 
 std::string combo_name(const ::testing::TestParamInfo<ComboSpec>& info) {
   const ComboSpec& c = info.param;
@@ -666,6 +678,99 @@ TEST(BatchDirect, CorruptionFallsBackToSerialStatus) {
   // Bytes delivered are identical to the serial reads (including the
   // untouched destination of the failing request).
   EXPECT_EQ(batch_out, serial_out);
+}
+
+// ------------------------------------------------ clients sharing one pfs
+
+// N clients share one HybridPfs, each on its own thread behind one mutex
+// (the external synchronisation a HybridPfs needs).  Job and deadline travel
+// in every request, so the interleaving of the clients' calls cannot move a
+// byte from one tenant's ledger to another's.
+TEST(BatchClients, FourThreadsChargeOnlyTheirOwnJob) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 48;
+  constexpr common::ByteCount kSize = 16_KiB;
+  pfs::HybridPfs pfs{sim::ClusterConfig{}};
+  std::mutex mu;  // guards pfs while the clients run
+  const common::FileId file = *pfs.create_file("clients.f");
+  // Deadlines are enforced only under a guard; nothing is shed and no
+  // deadline is missed, so every byte lands.
+  guard::GuardOptions guard_options;
+  guard_options.shed_backlog = {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity()};
+  guard::OverloadGuard overload_guard(pfs.num_servers(), guard_options);
+  pfs.set_guard(&overload_guard);
+
+  // Each client writes only its own slot of these; they are read after join.
+  std::vector<common::ByteCount> moved(kClients, 0);
+  std::vector<std::size_t> failures(kClients, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const auto job = static_cast<common::JobId>(c + 1);
+      const std::vector<std::uint8_t> data(kSize, static_cast<std::uint8_t>(0x10 + c));
+      std::vector<std::uint8_t> back(kSize);
+      pfs::BatchResultVec results;
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        // Disjoint ranges per client; each request's deadline is its own.
+        const common::Offset offset = (c * kRequests + i) * kSize;
+        const common::Seconds arrival = static_cast<double>(i) * 1e-3;
+        const common::Seconds deadline = arrival + 1e6;
+        std::lock_guard<std::mutex> lock(mu);
+        if (!pfs.write(file, offset, data.data(), kSize, arrival, job, deadline).is_ok()) {
+          ++failures[c];
+          continue;
+        }
+        pfs::BatchRequest read;
+        read.file = file;
+        read.offset = offset;
+        read.size = kSize;
+        read.read_out = back.data();
+        read.arrival = arrival;
+        read.job = job;
+        read.deadline = deadline;
+        pfs.read_batch({&read, 1}, results);
+        if (!results[0].status.is_ok() || back != data) {
+          ++failures[c];
+          continue;
+        }
+        moved[c] += 2 * kSize;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  pfs.set_guard(nullptr);
+
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failures[c], 0u) << "client " << c;
+    EXPECT_EQ(moved[c], 2 * kRequests * kSize) << "client " << c;
+    common::ByteCount charged = 0;
+    for (std::size_t s = 0; s < pfs.num_servers(); ++s) {
+      const sim::JobServerStats& row = pfs.data_server(s).sim().job_stats(
+          static_cast<common::JobId>(c + 1));
+      charged += row.bytes_read + row.bytes_written;
+    }
+    EXPECT_EQ(charged, moved[c]) << "client " << c;
+  }
+  // The per-job rows add up to each server's aggregate, and job 0 was never
+  // charged.
+  for (std::size_t s = 0; s < pfs.num_servers(); ++s) {
+    const sim::ServerStats& total = pfs.server_stats(s);
+    const auto& rows = pfs.data_server(s).sim().job_stats();
+    std::uint64_t subs = 0;
+    common::ByteCount read = 0, written = 0;
+    for (const sim::JobServerStats& row : rows) {
+      subs += row.sub_requests;
+      read += row.bytes_read;
+      written += row.bytes_written;
+    }
+    EXPECT_EQ(subs, total.sub_requests) << "server " << s;
+    EXPECT_EQ(read, total.bytes_read) << "server " << s;
+    EXPECT_EQ(written, total.bytes_written) << "server " << s;
+    const sim::JobServerStats& idle = pfs.data_server(s).sim().job_stats(common::kDefaultJob);
+    EXPECT_EQ(idle.bytes_read + idle.bytes_written, 0u) << "server " << s;
+  }
 }
 
 }  // namespace

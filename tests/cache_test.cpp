@@ -307,12 +307,11 @@ TEST(Cache, FlushChargesTheDirtyingJob) {
   cache::CachedFile cached(*w.file, *w.mpi, *w.pfs, w.small_config());
 
   const auto bytes = marked(4_KiB, 0x44);
-  w.pfs->set_active_job(3);
-  ASSERT_TRUE(cached.write_at(0, 132_KiB, bytes.data(), bytes.size()).is_ok());
-  // Another tenant triggers the flush; the charge must follow the dirtier.
-  w.pfs->set_active_job(1);
-  ASSERT_TRUE(cached.flush_all(w.mpi->max_time()).is_ok());
-  w.pfs->set_active_job(common::kDefaultJob);
+  ASSERT_TRUE(cached.write_at(0, 132_KiB, bytes.data(), bytes.size(), 3).is_ok());
+  // Another tenant's read of the page triggers the (conflict) flush; the
+  // write charge must follow the dirtier.
+  std::vector<std::uint8_t> buf(16_KiB);
+  ASSERT_TRUE(cached.read_at(0, 128_KiB, buf.data(), buf.size(), 1).is_ok());
 
   common::ByteCount job3 = 0, job1 = 0;
   for (std::size_t i = 0; i < w.pfs->num_servers(); ++i) {
@@ -321,6 +320,33 @@ TEST(Cache, FlushChargesTheDirtyingJob) {
   }
   EXPECT_EQ(job3, 4_KiB);
   EXPECT_EQ(job1, 0u);
+}
+
+TEST(Cache, FillsChargeTheReadingJob) {
+  CacheWorld w;
+  cache::CachedFile cached(*w.file, *w.mpi, *w.pfs, w.small_config());
+  w.pfs->reset_stats();
+
+  // Rank 0 (job 3) streams through region r0: a demand miss, then a second
+  // sequential miss that arms read-ahead.  Rank 1 (job 1) misses once in the
+  // passthrough range.  Every fill is billed to the job whose read caused
+  // it, exactly as the same reads uncached would be.
+  std::vector<std::uint8_t> buf(16_KiB);
+  ASSERT_TRUE(cached.read_at(0, 0, buf.data(), buf.size(), 3).is_ok());
+  ASSERT_TRUE(cached.read_at(0, 16_KiB, buf.data(), buf.size(), 3).is_ok());
+  ASSERT_TRUE(cached.read_at(1, 400_KiB, buf.data(), buf.size(), 1).is_ok());
+  ASSERT_EQ(cached.metrics().misses, 3u);
+  ASSERT_GT(cached.metrics().prefetch_pages, 0u);
+
+  common::ByteCount job0 = 0, job1 = 0, job3 = 0;
+  for (std::size_t i = 0; i < w.pfs->num_servers(); ++i) {
+    job0 += w.pfs->data_server(i).sim().job_stats(common::kDefaultJob).bytes_read;
+    job1 += w.pfs->data_server(i).sim().job_stats(1).bytes_read;
+    job3 += w.pfs->data_server(i).sim().job_stats(3).bytes_read;
+  }
+  EXPECT_EQ(job0, 0u);
+  EXPECT_EQ(job1, 16_KiB);
+  EXPECT_EQ(job3, (2 + cached.metrics().prefetch_pages) * 16_KiB);
 }
 
 TEST(Cache, ConflictingReadFlushesDirtyPageFirst) {
@@ -376,9 +402,9 @@ TEST(Cache, JobDeadlineTriggersFlush) {
   cache::CachedFile cached(*w.file, *w.mpi, *w.pfs, w.small_config());
 
   const auto bytes = marked(4_KiB, 0x66);
-  w.pfs->set_active_deadline(5.0);
-  ASSERT_TRUE(cached.write_at(0, 132_KiB, bytes.data(), bytes.size()).is_ok());
-  w.pfs->set_active_deadline(std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(cached.write_at(0, 132_KiB, bytes.data(), bytes.size(), common::kDefaultJob,
+                              5.0)
+                  .is_ok());
   ASSERT_TRUE(cached.is_dirty(0, 132_KiB));
 
   // Nothing due yet: an access before the deadline does not flush.

@@ -148,6 +148,13 @@ struct Combo {
   bool torn;
 };
 
+/// Prints the parameter by name: gtest's default dumps the object's bytes,
+/// the site pointer included, so the listed test names would change from
+/// build to build.
+void PrintTo(const Combo& c, std::ostream* os) {
+  *os << c.site << (c.torn ? "/torn" : "/clean");
+}
+
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   std::string name = info.param.site;
   std::replace(name.begin(), name.end(), '-', '_');
@@ -438,7 +445,11 @@ trace::Trace mini_trace(const std::string& name) {
   return t;
 }
 
-class PipelineCrashMatrix : public ::testing::TestWithParam<Combo> {};
+/// Its own parameter type with gtest's default print (the object's bytes), so
+/// these three cases keep the names they were first listed under.
+struct DeployCombo : Combo {};
+
+class PipelineCrashMatrix : public ::testing::TestWithParam<DeployCombo> {};
 
 TEST_P(PipelineCrashMatrix, DeployCrashRecoversConsistently) {
   const Combo combo = GetParam();
@@ -466,10 +477,12 @@ TEST_P(PipelineCrashMatrix, DeployCrashRecoversConsistently) {
 }
 
 INSTANTIATE_TEST_SUITE_P(DeploySites, PipelineCrashMatrix,
-                         ::testing::Values(Combo{"copying", false},
-                                           Combo{"committed", false},
-                                           Combo{"committed", true}),
-                         combo_name);
+                         ::testing::Values(DeployCombo{{"copying", false}},
+                                           DeployCombo{{"committed", false}},
+                                           DeployCombo{{"committed", true}}),
+                         [](const ::testing::TestParamInfo<DeployCombo>& info) {
+                           return combo_name({info.param, info.index});
+                         });
 
 // --------------------------------------------------- rebuild crash sites ---
 
@@ -481,17 +494,7 @@ INSTANTIATE_TEST_SUITE_P(DeploySites, PipelineCrashMatrix,
 /// resume (plus a fresh plan when the torn tail erased the whole plan —
 /// nothing was mutated in that case) the region serves with no failover at
 /// all and the journal is clean.
-///
-/// Its own parameter type so it can print by name: gtest's default dumps the
-/// object's bytes, the site pointer included, so the listed test names would
-/// change from run to run.
-struct RebuildCombo : Combo {};
-
-void PrintTo(const RebuildCombo& c, std::ostream* os) {
-  *os << c.site << (c.torn ? "/torn" : "/clean");
-}
-
-class RebuildCrashMatrix : public ::testing::TestWithParam<RebuildCombo> {
+class RebuildCrashMatrix : public ::testing::TestWithParam<Combo> {
  protected:
   void SetUp() override {
     journal_path_ = temp_path("rebuild");
@@ -543,7 +546,7 @@ class RebuildCrashMatrix : public ::testing::TestWithParam<RebuildCombo> {
 };
 
 TEST_P(RebuildCrashMatrix, ResumesToCleanCommit) {
-  const RebuildCombo combo = GetParam();
+  const Combo combo = GetParam();
   repair::kill_server(*membership_, *pfs_, 0, 1.0);
   {
     repair::RebuildOptions options;
@@ -591,18 +594,14 @@ TEST_P(RebuildCrashMatrix, ResumesToCleanCommit) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSites, RebuildCrashMatrix,
-    ::testing::Values(RebuildCombo{{"planned", false}}, RebuildCombo{{"planned", true}},
-                      RebuildCombo{{"created", false}}, RebuildCombo{{"created", true}},
-                      RebuildCombo{{"copying", false}}, RebuildCombo{{"copying", true}},
-                      RebuildCombo{{"copied-task-0", false}},
-                      RebuildCombo{{"copied-task-0", true}},
-                      RebuildCombo{{"copied", false}}, RebuildCombo{{"copied", true}},
-                      RebuildCombo{{"switched-task-0", false}},
-                      RebuildCombo{{"switched-task-0", true}},
-                      RebuildCombo{{"switched", false}}, RebuildCombo{{"switched", true}}),
-    [](const ::testing::TestParamInfo<RebuildCombo>& info) {
-      return combo_name({info.param, info.index});
-    });
+    ::testing::Values(Combo{"planned", false}, Combo{"planned", true},
+                      Combo{"created", false}, Combo{"created", true},
+                      Combo{"copying", false}, Combo{"copying", true},
+                      Combo{"copied-task-0", false}, Combo{"copied-task-0", true},
+                      Combo{"copied", false}, Combo{"copied", true},
+                      Combo{"switched-task-0", false}, Combo{"switched-task-0", true},
+                      Combo{"switched", false}, Combo{"switched", true}),
+    combo_name);
 
 }  // namespace
 }  // namespace mha

@@ -181,11 +181,9 @@ TEST(OverloadGuard, DeadlineMissCancelsChargedSiblingsAndRestoresServers) {
   pfs.set_guard(&guard);
   // A deadline no multi-server write can meet: the first sub-request's
   // completion already crosses it.
-  pfs.set_active_deadline(1e-9);
-
   std::vector<std::uint8_t> data(256 * 1024, 0xCD);
   const auto before_table = pfs.stats_table();
-  auto io = pfs.write(*file, 0, data.data(), data.size(), 0.0);
+  auto io = pfs.write(*file, 0, data.data(), data.size(), 0.0, common::kDefaultJob, 1e-9);
   EXPECT_FALSE(io.is_ok());
 
   const GuardMetrics m = guard.metrics();
@@ -202,8 +200,7 @@ TEST(OverloadGuard, DeadlineMissCancelsChargedSiblingsAndRestoresServers) {
     EXPECT_EQ(pfs.server_stats(s).bytes_wasted, 0u);
   }
 
-  // With the deadline lifted the same request succeeds untouched.
-  pfs.set_active_deadline(std::numeric_limits<double>::infinity());
+  // Without the deadline the same request succeeds untouched.
   EXPECT_TRUE(pfs.write(*file, 0, data.data(), data.size(), 1.0).is_ok());
 }
 

@@ -33,6 +33,13 @@ struct Combo {
   std::size_t sservers;
 };
 
+/// Prints the parameter by name: gtest's default dumps the object's bytes,
+/// string pointers included, so the listed test names would change from
+/// build to build.
+void PrintTo(const Combo& c, std::ostream* os) {
+  *os << c.scheme << '/' << c.workload << '/' << c.hservers << 'h' << c.sservers << 's';
+}
+
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   return std::string(info.param.scheme) + "_" + info.param.workload + "_" +
          std::to_string(info.param.hservers) + "h" + std::to_string(info.param.sservers) +
@@ -143,17 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Stripe pairs produced by every scheme must be realisable layouts: the MDS
 // must never hold a layout whose widths are all zero or whose server count
 // mismatches the cluster.
-//
-// Its own parameter type so it can print by name: gtest's default dumps the
-// object's bytes, string pointers included, so the listed test names would
-// change from run to run.
-struct RealisabilityCombo : Combo {};
-
-void PrintTo(const RealisabilityCombo& c, std::ostream* os) {
-  *os << c.scheme << '/' << c.workload << '/' << c.hservers << 'h' << c.sservers << 's';
-}
-
-class LayoutRealisability : public ::testing::TestWithParam<RealisabilityCombo> {};
+class LayoutRealisability : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(LayoutRealisability, AllMdsLayoutsAreValid) {
   const Combo combo = GetParam();
@@ -181,14 +178,10 @@ TEST_P(LayoutRealisability, AllMdsLayoutsAreValid) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LayoutRealisability,
-    ::testing::Values(RealisabilityCombo{{"MHA", "ior", 6, 2}},
-                      RealisabilityCombo{{"HARL", "ior", 6, 2}},
-                      RealisabilityCombo{{"MHA", "lanl", 2, 2}},
-                      RealisabilityCombo{{"HARL", "btio", 5, 3}},
-                      RealisabilityCombo{{"AAL", "hpio", 6, 2}}),
-    [](const ::testing::TestParamInfo<RealisabilityCombo>& info) {
-      return combo_name({info.param, info.index});
-    });
+    ::testing::Values(Combo{"MHA", "ior", 6, 2}, Combo{"HARL", "ior", 6, 2},
+                      Combo{"MHA", "lanl", 2, 2}, Combo{"HARL", "btio", 5, 3},
+                      Combo{"AAL", "hpio", 6, 2}),
+    combo_name);
 
 // Recovery is idempotent from EVERY crash point: running recover_migration
 // a second time after a successful recovery must change nothing — same
