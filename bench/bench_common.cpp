@@ -142,8 +142,9 @@ std::vector<Row> run_figure(const std::string& title,
     double wall = 0.0;
   };
   // One task per (case, scheme) cell.  Each builds its own scheme instance
-  // and ClusterSim, reads the trace by const&, and lands its result in slot
-  // `index`, so the table is independent of scheduling order.
+  // and timing-only HybridPfs (workloads::run_scheme), reads the trace by
+  // const&, and lands its result in slot `index`, so the table is
+  // independent of scheduling order.
   auto cells = exec::default_pool().parallel_map(num_cells, [&](std::size_t index) {
     const std::size_t case_index = index / num_schemes;
     const std::size_t scheme_index = index % num_schemes;

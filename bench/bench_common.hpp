@@ -12,7 +12,8 @@
 //
 //   --threads=N   total concurrency for the grid (default MHA_THREADS env
 //                 or hardware_concurrency); every (case, scheme) cell runs
-//                 on a fresh ClusterSim, results land by grid index, and
+//                 on its own timing-only HybridPfs via
+//                 workloads::run_scheme, results land by grid index, and
 //                 all printing happens after the join, so stdout is
 //                 byte-identical at any N.
 //   --json=PATH   write a timed machine-readable report (per-cell wall
@@ -104,7 +105,8 @@ void print_table(const std::string& title, const std::vector<std::string>& colum
 
 /// Convenience: run all four schemes over a set of labelled traces and
 /// print the table.  Each (case, scheme) cell is an independent task on the
-/// exec pool (fresh ClusterSim per cell); rows come back in case order with
+/// exec pool (its own timing-only HybridPfs via workloads::run_scheme); rows
+/// come back in case order with
 /// per-cell timings recorded in report().  Returns the rows.
 std::vector<Row> run_figure(const std::string& title,
                             const std::vector<std::pair<std::string, trace::Trace>>& cases,

@@ -55,4 +55,11 @@ class BenchReport {
 /// Monotonic wall-clock timestamp in seconds (for CellRecord::wall_seconds).
 double wall_now();
 
+/// Sink for a timed kernel's result: the empty asm takes `value`'s address
+/// and clobbers memory, so the optimiser must compute it every iteration.
+template <typename T>
+inline void keep(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
 }  // namespace mha::bench

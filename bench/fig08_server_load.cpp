@@ -74,7 +74,9 @@ int main(int argc, char** argv) {
   const std::size_t servers = busy.front().size();
   for (std::size_t s = 0; s < servers; ++s) {
     bench::Row row;
-    row.label = "S" + std::to_string(s) + (s < cluster.num_hservers ? " (H)" : " (S)");
+    row.label = std::string("S")
+                    .append(std::to_string(s))
+                    .append(s < cluster.num_hservers ? " (H)" : " (S)");
     for (std::size_t k = 0; k < busy.size(); ++k) row.values.push_back(busy[k][s] / mha_min);
     rows.push_back(std::move(row));
   }

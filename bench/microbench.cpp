@@ -1,38 +1,50 @@
-// Request-path microbenchmarks + structural perf guard.
+// Request-path and planner microbenchmarks, structural perf guard, and the
+// cost-model ablation tables.
 //
 // Two kinds of output, deliberately separated:
 //
-//   stdout  - STRUCTURAL numbers only: counted heap allocations per request
-//             (this binary links the counting operator new/delete), segment
-//             and coalescing counts, extent-store fragmentation.  These are
-//             deterministic — independent of machine speed, --threads, and
-//             load — so CI diffs stdout byte-for-byte against
-//             bench/golden/microbench.stdout and fails on any structural
-//             regression (an allocation creeping back into the hot path, a
-//             coalescing miss, a fragmentation change).
+//   stdout  - DETERMINISTIC numbers only, diffed byte-for-byte against
+//             bench/golden/microbench.stdout (CI fails on any drift):
+//             * the structural guard: counted heap allocations per request
+//               (this binary links the counting operator new/delete),
+//               segment and coalescing counts, extent-store fragmentation;
+//             * the ablation tables: MHA's virtual-time bandwidth on IOR and
+//               LANL App2 with one design choice removed per row.  They run
+//               at fixed sizes (--scale does not apply) on the exec pool by
+//               index and print after the join, so --threads changes no byte.
 //   stderr + BENCH_micro.json (--json) - TIMED numbers: ns/op and ops/s for
-//             each kernel.  Machine-dependent; tracked as a trajectory, never
-//             diffed.
+//             each kernel over a fixed iteration count scaled by --scale.
+//             Machine-dependent; tracked as a trajectory, never diffed.
 //
-// Kernels: DRT lookup (sequential hit / random hit / miss), full
-// translate+dispatch through MpiFile -> Redirector -> HybridPfs, page-cache
-// read hits, extent-store write/read fast paths, and steady-state trace
-// replay.
+// Kernels: DRT lookup (sequential hit / random hit / miss / sparse table),
+// full translate+dispatch through MpiFile -> Redirector -> HybridPfs,
+// page-cache read hits, extent-store write/read fast paths, steady-state
+// trace replay, and the planner: cost-model request_cost and aggregate,
+// RSSD sweep, k-means grouping, StripeLayout::map_extent and
+// MhaPipeline::analyze.
 #include "bench_common.hpp"
 
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "cache/page_cache.hpp"
 #include "common/alloc_counter.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "core/grouping.hpp"
+#include "core/pipeline.hpp"
 #include "core/redirector.hpp"
+#include "core/rssd.hpp"
 #include "guard/guard.hpp"
 #include "io/mpi_file.hpp"
 #include "pfs/extent_store.hpp"
+#include "pfs/layout.hpp"
 #include "qos/job.hpp"
 #include "qos/policy.hpp"
+#include "workloads/apps.hpp"
 #include "workloads/ior.hpp"
 
 using namespace mha;
@@ -40,13 +52,14 @@ using namespace mha::common::literals;
 
 namespace {
 
-/// Times `op` over `iters` iterations and records one JSON cell.  A batched
-/// kernel passes ops_per_iter > 1 so ns/op stays per *request* (comparable
-/// to the serial baselines); byte-moving kernels pass bytes_per_op so the
-/// cell reports real MiB/s instead of 0.  Returns ns/op for speedup gates.
+/// Times `op` over `iters` iterations and records one JSON cell.  A kernel
+/// that handles many items per call (a batch, a request set, a trace)
+/// passes ops_per_iter > 1 so ns/op stays per item; byte-moving kernels
+/// pass bytes_per_iter so the cell reports real MiB/s instead of 0.
+/// Returns ns/op for speedup gates.
 template <typename Fn>
 double timed(std::size_t sequence, const char* label, std::size_t iters, Fn&& op,
-             std::size_t ops_per_iter = 1, common::ByteCount bytes_per_op = 0) {
+             std::size_t ops_per_iter = 1, common::ByteCount bytes_per_iter = 0) {
   const double start = bench::wall_now();
   for (std::size_t i = 0; i < iters; ++i) op(i);
   const double elapsed = bench::wall_now() - start;
@@ -57,9 +70,9 @@ double timed(std::size_t sequence, const char* label, std::size_t iters, Fn&& op
   cell.wall_seconds = elapsed;
   cell.ops_per_s = elapsed > 0.0 ? ops / elapsed : 0.0;
   cell.ns_per_op = ops > 0.0 ? elapsed * 1e9 / ops : 0.0;
-  cell.mib_per_s = elapsed > 0.0 && bytes_per_op > 0
-                       ? static_cast<double>(bytes_per_op) * ops / elapsed /
-                             static_cast<double>(common::kMiB)
+  cell.mib_per_s = elapsed > 0.0 && bytes_per_iter > 0
+                       ? static_cast<double>(bytes_per_iter) * static_cast<double>(iters) /
+                             elapsed / static_cast<double>(common::kMiB)
                        : 0.0;
   bench::report().add(sequence, cell);
   if (cell.mib_per_s > 0.0) {
@@ -78,6 +91,69 @@ core::Drt dense_table(common::ByteCount file_bytes, common::ByteCount entry) {
     (void)drt.insert(core::DrtEntry{pos, entry, "micro.region", pos});
   }
   return drt;
+}
+
+std::vector<core::ModelRequest> sample_requests(std::size_t n) {
+  std::vector<core::ModelRequest> out;
+  common::Rng rng(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(core::ModelRequest{
+        i % 3 ? common::OpType::kRead : common::OpType::kWrite,
+        rng.next_below(1_GiB), (1 + rng.next_below(64)) * 4_KiB,
+        static_cast<std::uint32_t>(1 + rng.next_below(32))});
+  }
+  return out;
+}
+
+/// MHA with one design choice removed per row; row 0 is the full scheme.
+struct Ablation {
+  const char* label;
+  void (*apply)(core::MhaOptions&);
+};
+const Ablation kAblations[] = {
+    {"full MHA (concurrency model, adaptive bounds, 4K step)", [](core::MhaOptions&) {}},
+    {"- concurrency term (HARL-era model)",
+     [](core::MhaOptions& o) { o.concurrency_aware = false; }},
+    {"- adaptive bounds (HARL average-size bound)",
+     [](core::MhaOptions& o) { o.rssd.adaptive_bounds = false; }},
+    {"- 4K step (32K step)", [](core::MhaOptions& o) { o.rssd.step = 32_KiB; }},
+    // One region disables the reordering benefit.
+    {"- grouping (single region, k=1)", [](core::MhaOptions& o) { o.grouping.max_groups = 1; }},
+};
+
+/// Prints one ablation table per workload.  Every (workload, row) cell runs
+/// on the exec pool and lands by index; printing happens after the join.
+void print_ablations() {
+  workloads::IorMixedSizesConfig ior;
+  ior.num_procs = 32;
+  ior.request_sizes = {128_KiB, 256_KiB};
+  ior.file_size = 128_MiB;
+  ior.op = common::OpType::kWrite;
+  ior.file_name = "ablate.ior";
+  workloads::LanlConfig lanl;
+  lanl.num_procs = 8;
+  lanl.loops = 256;
+  const std::pair<const char*, trace::Trace> traces[] = {
+      {"IOR 128+256 KiB writes, 32 procs", workloads::ior_mixed_sizes(ior)},
+      {"LANL App2 (heterogeneous sizes), 8 procs", workloads::lanl_app2(lanl)}};
+  constexpr std::size_t kRows = std::size(kAblations);
+  const auto bandwidth =
+      exec::default_pool().parallel_map(std::size(traces) * kRows, [&](std::size_t index) {
+        core::MhaOptions options;
+        kAblations[index % kRows].apply(options);
+        auto scheme = layouts::make_mha(options);
+        return bench::run_bandwidth(*scheme, bench::paper_cluster(), traces[index / kRows].second);
+      });
+  for (std::size_t t = 0; t < std::size(traces); ++t) {
+    std::printf("\n=== Ablations (MHA on %s) ===\n", traces[t].first);
+    const double full = bandwidth[t * kRows];
+    std::printf("%-44s %8.1f MiB/s\n", kAblations[0].label, full);
+    for (std::size_t r = 1; r < kRows; ++r) {
+      const double value = bandwidth[t * kRows + r];
+      std::printf("%-44s %8.1f MiB/s (%+.1f%%)\n", kAblations[r].label, value,
+                  (value / full - 1) * 100);
+    }
+  }
 }
 
 /// A world for end-to-end request kernels: PFS + identity redirector + file.
@@ -359,6 +435,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.flush_bytes));
   }
 
+  print_ablations();
+
   // ----------------------------------------------------------------- timed
   std::fprintf(stderr, "=== microbench timed kernels (machine-dependent) ===\n");
   const auto iters = [](std::size_t n) {
@@ -463,14 +541,14 @@ int main(int argc, char** argv) {
                                       run_batch(i);
                                       world.file->write_at_batch(ops, outcomes);
                                     },
-                                    n, 4_KiB);
+                                    n, span);
       std::snprintf(label, sizeof(label), "translate_dispatch_read_batch%zu", n);
       const double read_ns = timed(sequence++, label, iters(40'000 / n),
                                    [&](std::size_t i) {
                                      run_batch(i);
                                      world.file->read_at_batch(ops, outcomes);
                                    },
-                                   n, 4_KiB);
+                                   n, span);
       if (n == 32) {
         batch32_write_ns = write_ns;
         batch32_read_ns = read_ns;
@@ -522,34 +600,88 @@ int main(int argc, char** argv) {
     pfs.mds().extend(*pfs.open(trace.file_name), trace::extent_end(trace.records));
     layouts::Deployment plain;
     plain.file_name = trace.file_name;
-    (void)workloads::replay(pfs, plain, trace);  // warm-up
-    const std::size_t reps = iters(8);
-    std::size_t requests = 0;
-    common::ByteCount bytes = 0;
-    const double start = bench::wall_now();
-    for (std::size_t i = 0; i < reps; ++i) {
+    const auto warm = workloads::replay(pfs, plain, trace);
+    const std::size_t requests = warm.is_ok() ? warm->requests : 0;
+    const common::ByteCount bytes = warm.is_ok() ? warm->bytes_total() : 0;
+    timed(7, "replay_steady_state", iters(8), [&](std::size_t) {
       pfs.reset_stats();
       pfs.reset_clocks();
-      auto result = workloads::replay(pfs, plain, trace);
-      if (result.is_ok()) {
-        requests += result->requests;
-        bytes += result->bytes_total();
-      }
+      (void)workloads::replay(pfs, plain, trace);
+    }, requests, bytes);
+  }
+
+  {
+    // Planner kernels: Eq. 2 per request and over a request set, the RSSD
+    // <h,s> sweep per request size, k-means grouping, stripe mapping and
+    // the whole analysis pipeline.  Set-wide kernels count ns per item.
+    const core::CostModel model(core::CostParams::from_cluster(bench::paper_cluster()));
+    const auto requests = sample_requests(1024);
+    timed(18, "cost_model_request_cost", iters(2'000'000), [&](std::size_t i) {
+      bench::keep(model.request_cost(requests[i % requests.size()], 12_KiB, 40_KiB));
+    });
+    std::size_t sequence = 19;
+    char label[64];
+    // {size, iterations} pairs: each cell runs a few tenths of a second.
+    using Shape = std::pair<std::size_t, std::size_t>;
+    for (const auto& [n, count] : {Shape{1024, 400}, Shape{16384, 4}}) {
+      const auto set = sample_requests(n);
+      std::snprintf(label, sizeof(label), "cost_model_aggregate_%zu", n);
+      timed(sequence++, label, iters(count),
+            [&](std::size_t) { bench::keep(core::CostModel::aggregate(set)); }, n);
     }
-    const double elapsed = bench::wall_now() - start;
-    bench::CellRecord cell;
-    cell.case_label = "replay_steady_state";
-    cell.variant = "timed";
-    cell.wall_seconds = elapsed;
-    cell.ops_per_s = elapsed > 0.0 ? static_cast<double>(requests) / elapsed : 0.0;
-    cell.ns_per_op =
-        requests > 0 ? elapsed * 1e9 / static_cast<double>(requests) : 0.0;
-    cell.mib_per_s = elapsed > 0.0 ? static_cast<double>(bytes) / elapsed /
-                                         static_cast<double>(common::kMiB)
-                                   : 0.0;
-    bench::report().add(7, cell);
-    std::fprintf(stderr, "%-32s %12.1f req/s  %10.2f ns/req  %10.1f MiB/s\n",
-                 "replay_steady_state", cell.ops_per_s, cell.ns_per_op, cell.mib_per_s);
+    for (const auto& [size, count] : {Shape{64_KiB, 256}, Shape{256_KiB, 32}, Shape{1_MiB, 16}}) {
+      std::vector<core::ModelRequest> sweep;
+      for (std::size_t i = 0; i < 64; ++i) {
+        sweep.push_back(core::ModelRequest{common::OpType::kRead, i * 256_KiB, size, 16});
+      }
+      std::snprintf(label, sizeof(label), "rssd_sweep_%llukib",
+                    static_cast<unsigned long long>(size / 1_KiB));
+      timed(sequence++, label, iters(count),
+            [&](std::size_t) { bench::keep(core::determine_stripes(model, sweep)); });
+    }
+    for (const auto& [n, count] : {Shape{1024, 512}, Shape{32768, 16}}) {
+      std::vector<core::FeaturePoint> points;
+      common::Rng rng(3);
+      for (std::size_t i = 0; i < n; ++i) {
+        points.push_back(core::FeaturePoint{static_cast<double>(rng.next_below(1 << 20)),
+                                            static_cast<double>(1 + rng.next_below(64))});
+      }
+      std::snprintf(label, sizeof(label), "kmeans_grouping_%zu", n);
+      timed(sequence++, label, iters(count),
+            [&](std::size_t) { bench::keep(core::group_requests_auto(points)); }, n);
+    }
+    // Sparse table (4 KiB entries every 8 KiB), random 64 KiB spans that
+    // return a fresh segment vector: the allocating lookup overload.
+    for (const std::size_t entries : {1024, 65536}) {
+      core::Drt drt("f");
+      const std::string regions[] = {"r0", "r1", "r2", "r3"};
+      for (std::size_t i = 0; i < entries; ++i) {
+        (void)drt.insert(core::DrtEntry{i * 8_KiB, 4_KiB, regions[i % 4], i * 4_KiB});
+      }
+      common::Rng rng(5);
+      std::snprintf(label, sizeof(label), "drt_lookup_sparse_%zu", entries);
+      timed(sequence++, label, iters(400'000), [&](std::size_t) {
+        bench::keep(drt.lookup(rng.next_below(entries * 8_KiB), 64_KiB));
+      });
+    }
+    const auto layout = pfs::StripeLayout::stripe_pair(6, 2, 12_KiB, 40_KiB).take();
+    common::Rng rng(7);
+    timed(sequence++, "layout_map_extent", iters(500'000), [&](std::size_t) {
+      bench::keep(layout.map_extent(rng.next_below(1_GiB), 256_KiB));
+    });
+    for (const auto& [file, count] : {Shape{32_MiB, 16}, Shape{128_MiB, 4}}) {
+      workloads::IorMixedSizesConfig config;
+      config.num_procs = 16;
+      config.request_sizes = {128_KiB, 256_KiB};
+      config.file_size = file;
+      config.file_name = "bm.ior";
+      const trace::Trace trace = workloads::ior_mixed_sizes(config);
+      std::snprintf(label, sizeof(label), "pipeline_analyze_%llumib",
+                    static_cast<unsigned long long>(file / 1_MiB));
+      timed(sequence++, label, iters(count), [&](std::size_t) {
+        bench::keep(core::MhaPipeline::analyze(bench::paper_cluster(), trace));
+      }, trace.records.size());
+    }
   }
 
   if (assert_cache_speedup) {

@@ -47,18 +47,12 @@ for bench in "${benches[@]}"; do
     --json="${out_dir}/BENCH_${bench}.json"
 done
 
-# Request-path microbench: structural guard on stdout (diffed against
-# bench/golden/microbench.stdout), timed kernels in BENCH_micro.json.
+# Microbench: structural guard and ablation tables on stdout (diffed
+# against bench/golden/microbench.stdout), timed kernels in BENCH_micro.json.
 echo "==> microbench"
 "${build_dir}/bench/microbench" "${flags[@]}" \
   --json="${out_dir}/BENCH_micro.json" \
   > "${out_dir}/microbench.stdout"
 diff -u "${repo_root}/bench/golden/microbench.stdout" "${out_dir}/microbench.stdout"
-
-# micro_core is a google-benchmark binary with its own flag set.
-echo "==> micro_core"
-"${build_dir}/bench/micro_core" \
-  --benchmark_out="${out_dir}/BENCH_micro_core.json" \
-  --benchmark_out_format=json
 
 echo "reports written to ${out_dir}/BENCH_*.json"

@@ -18,8 +18,9 @@ cmake --build --preset asan -j "${jobs}"
 ctest --preset asan -j "${jobs}"
 
 # Structural perf guard: the microbench's stdout (counted allocs/request,
-# coalescing and fragmentation counts) is deterministic — including under
-# sanitizers — so any drift from the committed golden is a regression.
+# coalescing and fragmentation counts, ablation tables) is deterministic —
+# including under sanitizers — so any drift from the committed golden is a
+# regression.
 # --scale only shrinks the timed kernels (stderr/JSON), never stdout.
 cmake --build --preset asan -j "${jobs}" --target microbench
 "${repo_root}/build-asan/bench/microbench" --threads=1 --scale=0.05 \

@@ -16,8 +16,8 @@ mkdir -p "${golden_dir}"
 
 cmake --build "${build_dir}" -j --target microbench
 
-# Structural stdout only: timed kernels print to stderr and are never
-# golden-diffed.  --threads=1 matches CI; stdout must not depend on it.
+# Stdout only (structural guard + ablation tables): timed kernels print to
+# stderr and are never golden-diffed.  --threads=1 matches CI; stdout must not depend on it.
 "${build_dir}/bench/microbench" --threads=1 \
   > "${golden_dir}/microbench.stdout" 2> /dev/null
 

@@ -16,6 +16,7 @@
 // move — never hold them across one).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <new>
@@ -141,7 +142,10 @@ class SmallVec {
   }
 
   void grow_to(std::size_t n) {
-    if (n < capacity_ * 2) n = capacity_ * 2;
+    // capacity_ >= N >= 1, so the block is never empty; naming N as a floor
+    // lets the optimiser see that too (else GCC 12 warns -Warray-bounds on
+    // a 0-byte block it cannot rule out).
+    n = std::max({n, capacity_ * 2, N});
     T* fresh = static_cast<T*>(::operator new(n * sizeof(T)));
     for (std::size_t i = 0; i < size_; ++i) {
       ::new (static_cast<void*>(fresh + i)) T(std::move(data_[i]));

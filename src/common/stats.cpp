@@ -68,8 +68,13 @@ std::string SizeHistogram::to_string() const {
   std::string out;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     if (buckets_[b] == 0) continue;
-    out += "[" + format_bytes(1ULL << b) + ", " + format_bytes(1ULL << (b + 1)) +
-           "): " + std::to_string(buckets_[b]) + "\n";
+    out.append("[")
+        .append(format_bytes(1ULL << b))
+        .append(", ")
+        .append(format_bytes(1ULL << (b + 1)))
+        .append("): ")
+        .append(std::to_string(buckets_[b]))
+        .append("\n");
   }
   return out;
 }

@@ -9,7 +9,11 @@
 namespace mha::core {
 
 std::string StripePair::to_string() const {
-  return "<" + common::format_bytes(h) + ", " + common::format_bytes(s) + ">";
+  return std::string("<")
+      .append(common::format_bytes(h))
+      .append(", ")
+      .append(common::format_bytes(s))
+      .append(">");
 }
 
 namespace {

@@ -16,7 +16,7 @@
 // against our batch-calibrated parameters would do exactly that, so HARL
 // here shares the batch model and keeps its two genuine handicaps —
 // offset-contiguous (pattern-mixed) regions and the average-size search
-// bound.  The concurrency-term ablation lives in bench_micro_core instead.
+// bound.  The concurrency-term ablation lives in bench/microbench instead.
 #include <algorithm>
 
 #include "common/units.hpp"

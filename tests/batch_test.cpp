@@ -10,10 +10,7 @@
 // file, the reference that does not share the request path.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -37,6 +34,7 @@
 #include "repair/membership.hpp"
 #include "repair/rebuilder.hpp"
 #include "sched/scheduler.hpp"
+#include "test_paths.hpp"
 #include "workloads/dlpipe.hpp"
 #include "workloads/ior.hpp"
 #include "workloads/replayer.hpp"
@@ -345,7 +343,6 @@ struct DegradedRun {
 /// fault windows, HServer 0 killed at the middle barrier and a throttled
 /// rebuilder stepped at every later barrier, then drained.
 DegradedRun run_degraded(const trace::Trace& trace, bool batch_requests) {
-  static std::atomic<int> counter{0};
   DegradedRun run;
   run.out.pfs = std::make_unique<pfs::HybridPfs>(sim::ClusterConfig{});
   pfs::HybridPfs& pfs = *run.out.pfs;
@@ -395,9 +392,7 @@ DegradedRun run_degraded(const trace::Trace& trace, bool batch_requests) {
   repair::Membership membership(pfs.num_servers());
   pfs.set_membership(&membership);
 
-  const std::string journal = testing::TempDir() + "batch_test_degraded_" +
-                              std::to_string(::getpid()) + "_" +
-                              std::to_string(counter.fetch_add(1)) + ".journal";
+  const std::string journal = test::temp_path("batch_degraded", ".journal");
   std::remove(journal.c_str());
   repair::RebuildOptions rebuild;
   rebuild.chunk = 64_KiB;

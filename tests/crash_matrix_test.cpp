@@ -14,10 +14,7 @@
 //     recovery acts on the last *durable* phase.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -36,18 +33,13 @@
 #include "layouts/scheme.hpp"
 #include "repair/membership.hpp"
 #include "repair/rebuilder.hpp"
+#include "test_paths.hpp"
 
 namespace mha {
 namespace {
 
 using common::OpType;
 using namespace common::literals;
-
-std::string temp_path(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  return testing::TempDir() + "crash_matrix_" + tag + "_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter.fetch_add(1)) + ".db";
-}
 
 sim::DeviceProfile flat_device(const char* name, double startup, double per_byte) {
   sim::DeviceProfile d;
@@ -164,7 +156,7 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
 class CrashMatrix : public ::testing::TestWithParam<Combo> {
  protected:
   void SetUp() override {
-    journal_path_ = temp_path("placer");
+    journal_path_ = test::temp_path("placer");
     pfs_ = std::make_unique<pfs::HybridPfs>(tiny_cluster(2, 1));
     original_ = *pfs_->create_file("orig");
     ASSERT_TRUE(layouts::populate_file(*pfs_, original_, 512_KiB).is_ok());
@@ -453,7 +445,7 @@ class PipelineCrashMatrix : public ::testing::TestWithParam<DeployCombo> {};
 
 TEST_P(PipelineCrashMatrix, DeployCrashRecoversConsistently) {
   const Combo combo = GetParam();
-  const std::string journal_path = temp_path("pipeline");
+  const std::string journal_path = test::temp_path("pipeline");
   pfs::HybridPfs pfs(tiny_cluster(2, 2));
   const trace::Trace trace = mini_trace("orig");
   const common::ByteCount extent = trace::extent_end(trace.records);
@@ -497,7 +489,7 @@ INSTANTIATE_TEST_SUITE_P(DeploySites, PipelineCrashMatrix,
 class RebuildCrashMatrix : public ::testing::TestWithParam<Combo> {
  protected:
   void SetUp() override {
-    journal_path_ = temp_path("rebuild");
+    journal_path_ = test::temp_path("rebuild");
     pfs_ = std::make_unique<pfs::HybridPfs>(tiny_cluster(2, 2));
     auto original = pfs_->create_file("orig");
     ASSERT_TRUE(original.is_ok());

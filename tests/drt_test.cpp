@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "core/drt.hpp"
+#include "test_paths.hpp"
 
 namespace mha::core {
 namespace {
@@ -117,7 +118,7 @@ TEST(Drt, CoveredBytesAndMetadata) {
 }
 
 TEST(Drt, SaveLoadRoundTrip) {
-  const std::string path = testing::TempDir() + "drt_test.db";
+  const std::string path = test::temp_path("drt");
   std::remove(path.c_str());
   Drt drt("data/app.out");
   ASSERT_TRUE(drt.insert(entry(0, 4096, "data/app.out.mha.r0", 0)).is_ok());
@@ -137,7 +138,7 @@ TEST(Drt, SaveLoadRoundTrip) {
 }
 
 TEST(Drt, LoadIgnoresOtherFilesEntries) {
-  const std::string path = testing::TempDir() + "drt_test2.db";
+  const std::string path = test::temp_path("drt");
   std::remove(path.c_str());
   Drt a("file_a"), b("file_b");
   ASSERT_TRUE(a.insert(entry(0, 10, "ra", 0)).is_ok());
@@ -154,7 +155,7 @@ TEST(Drt, LoadIgnoresOtherFilesEntries) {
 }
 
 TEST(Drt, LoadRejectsCorruptValue) {
-  const std::string path = testing::TempDir() + "drt_test3.db";
+  const std::string path = test::temp_path("drt");
   std::remove(path.c_str());
   kv::KvStore store;
   ASSERT_TRUE(store.open(path).is_ok());

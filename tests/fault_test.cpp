@@ -8,10 +8,7 @@
 // truncated RST recovery, replay verification mismatches).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -29,6 +26,7 @@
 #include "fault/retry.hpp"
 #include "io/mpi_file.hpp"
 #include "layouts/scheme.hpp"
+#include "test_paths.hpp"
 #include "workloads/replayer.hpp"
 
 namespace mha {
@@ -36,14 +34,6 @@ namespace {
 
 using common::OpType;
 using namespace common::literals;
-
-std::string temp_path(const std::string& tag) {
-  // The counter alone is not unique across processes: ctest runs each test
-  // case in its own process, so concurrent cases would collide on _0.
-  static std::atomic<int> counter{0};
-  return testing::TempDir() + "fault_test_" + tag + "_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter.fetch_add(1)) + ".db";
-}
 
 /// Predictable service math (no network, no queued-startup discount).
 sim::DeviceProfile slow_device() {
@@ -446,7 +436,7 @@ TEST(FaultMetrics, TableMentionsEveryCounterFamily) {
 // ------------------------------------------------------------- journal ---
 
 TEST(MigrationJournal, PersistsPlanAndProgressAcrossReopen) {
-  const std::string path = temp_path("journal");
+  const std::string path = test::temp_path("journal");
   {
     fault::MigrationJournal journal;
     ASSERT_TRUE(journal.open(path).is_ok());
@@ -480,7 +470,7 @@ TEST(MigrationJournal, PersistsPlanAndProgressAcrossReopen) {
 }
 
 TEST(MigrationJournal, RefusesSecondBeginWhileActive) {
-  const std::string path = temp_path("journal_active");
+  const std::string path = test::temp_path("journal_active");
   fault::MigrationJournal journal;
   ASSERT_TRUE(journal.open(path).is_ok());
   ASSERT_TRUE(journal.begin("a", {}, {}).is_ok());
@@ -497,7 +487,7 @@ TEST(MigrationJournal, RefusesSecondBeginWhileActive) {
 class MigrationCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    journal_path_ = temp_path("migration");
+    journal_path_ = test::temp_path("migration");
     pfs_ = std::make_unique<pfs::HybridPfs>(tiny_cluster(2, 1));
     original_ = *pfs_->create_file("orig");
     ASSERT_TRUE(layouts::populate_file(*pfs_, original_, 512_KiB).is_ok());
@@ -658,7 +648,7 @@ trace::Trace mini_trace(const std::string& name) {
 }
 
 TEST(PipelineJournal, DeployCrashThenRecoverThenRedeploy) {
-  const std::string journal_path = temp_path("pipeline");
+  const std::string journal_path = test::temp_path("pipeline");
   pfs::HybridPfs pfs(tiny_cluster(2, 2));
   const trace::Trace trace = mini_trace("orig");
   auto original = *pfs.create_file("orig");
@@ -693,7 +683,7 @@ TEST(PipelineJournal, DeployCrashThenRecoverThenRedeploy) {
 }
 
 TEST(OnlineJournal, FoldbackCrashRecoversRedirectedWrites) {
-  const std::string journal_path = temp_path("online");
+  const std::string journal_path = test::temp_path("online");
   pfs::HybridPfs pfs(tiny_cluster(2, 2));
   auto original = *pfs.create_file("dyn");
   const trace::Trace trace = mini_trace("dyn");
@@ -828,7 +818,7 @@ TEST(RedirectorNegative, LookupBeyondCoveredRangePassesThrough) {
 }
 
 TEST(MetadataNegative, TruncatedRstRestoresTheValidPrefix) {
-  const std::string rst_path = temp_path("rst");
+  const std::string rst_path = test::temp_path("rst");
   {
     pfs::HybridPfs pfs(tiny_cluster(2, 1), rst_path);
     ASSERT_TRUE(pfs.create_file("first").is_ok());

@@ -63,10 +63,11 @@ TEST(DrtFlat, RequestSpanningManyEntriesAndGaps) {
   // 16 entries of 64 bytes with 64-byte gaps: a request over the whole range
   // splits into 32+ segments, exercising the SmallVec spill path too.
   Drt drt("orig");
+  const std::string regions[] = {"r0", "r1", "r2"};
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(
-        drt.insert(entry(static_cast<common::Offset>(i) * 128, 64,
-                         "r" + std::to_string(i % 3), static_cast<common::Offset>(i) * 64))
+        drt.insert(entry(static_cast<common::Offset>(i) * 128, 64, regions[i % 3],
+                         static_cast<common::Offset>(i) * 64))
             .is_ok());
   }
   Drt::SegmentVec segments;

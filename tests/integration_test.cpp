@@ -8,6 +8,7 @@
 #include "core/pipeline.hpp"
 #include "kv/kvstore.hpp"
 #include "layouts/scheme.hpp"
+#include "test_paths.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/ior.hpp"
@@ -32,8 +33,8 @@ sim::ClusterConfig paper_cluster() {
 // off-line optimization from the file -> placement -> redirected rerun.
 // Asserts byte-integrity and the headline speedup at every step.
 TEST(EndToEnd, FiveChapterWorkflowWithTraceFiles) {
-  const std::string trace_path = testing::TempDir() + "e2e_trace.csv";
-  const std::string drt_path = testing::TempDir() + "e2e_drt.db";
+  const std::string trace_path = test::temp_path("e2e_trace", ".csv");
+  const std::string drt_path = test::temp_path("e2e_drt");
   std::remove(trace_path.c_str());
   std::remove(drt_path.c_str());
 
@@ -82,8 +83,8 @@ TEST(EndToEnd, FiveChapterWorkflowWithTraceFiles) {
 // The MDS's RST plus the persisted DRT fully reconstruct a deployment after
 // a "power failure" — a fresh PFS process serves identical bytes.
 TEST(EndToEnd, DeploymentSurvivesRestart) {
-  const std::string rst_path = testing::TempDir() + "restart_rst.db";
-  const std::string drt_path = testing::TempDir() + "restart_drt.db";
+  const std::string rst_path = test::temp_path("restart_rst");
+  const std::string drt_path = test::temp_path("restart_drt");
   std::remove(rst_path.c_str());
   std::remove(drt_path.c_str());
 
@@ -164,7 +165,7 @@ TEST(FailureInjection, DeployTwiceRejectsExistingRegions) {
 }
 
 TEST(FailureInjection, CorruptDrtStoreIsRejectedNotMisread) {
-  const std::string drt_path = testing::TempDir() + "corrupt_drt.db";
+  const std::string drt_path = test::temp_path("corrupt_drt");
   std::remove(drt_path.c_str());
   {
     kv::KvStore store;

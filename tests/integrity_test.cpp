@@ -3,9 +3,6 @@
 // replay-verification report.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +22,7 @@
 #include "io/mpi_file.hpp"
 #include "kv/kvstore.hpp"
 #include "layouts/scheme.hpp"
+#include "test_paths.hpp"
 #include "workloads/replayer.hpp"
 
 namespace mha {
@@ -34,12 +32,6 @@ using common::OpType;
 using namespace common::literals;
 
 constexpr common::ByteCount kChunk = pfs::ExtentStore::kChecksumChunk;
-
-std::string temp_path(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  return testing::TempDir() + "integrity_" + tag + "_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".db";
-}
 
 sim::DeviceProfile flat_device(const char* name, double startup, double per_byte) {
   sim::DeviceProfile d;
@@ -529,7 +521,7 @@ TEST_F(ScrubberTest, InterceptedWritesMarkDrtEntriesDirty) {
 // ------------------------------------------------ kv / journal integrity ---
 
 TEST(KvIntegrity, CleanLoadReportAndVerify) {
-  const std::string path = temp_path("kv_clean");
+  const std::string path = test::temp_path("kv_clean");
   {
     kv::KvStore store;
     ASSERT_TRUE(store.open(path).is_ok());
@@ -553,7 +545,7 @@ TEST(KvIntegrity, CleanLoadReportAndVerify) {
 }
 
 TEST(KvIntegrity, TornTailIsTruncatedAndReported) {
-  const std::string path = temp_path("kv_torn");
+  const std::string path = test::temp_path("kv_torn");
   {
     kv::KvStore store;
     ASSERT_TRUE(store.open(path).is_ok());
@@ -580,7 +572,7 @@ TEST(KvIntegrity, TornTailIsTruncatedAndReported) {
 }
 
 TEST(KvIntegrity, CorruptMiddleRecordStopsReplayWithCrcMismatch) {
-  const std::string path = temp_path("kv_rot");
+  const std::string path = test::temp_path("kv_rot");
   long second_record_end = 0;
   {
     kv::KvStore store;
@@ -618,7 +610,7 @@ TEST(KvIntegrity, CorruptMiddleRecordStopsReplayWithCrcMismatch) {
 }
 
 TEST(KvIntegrity, VerifyLogCountsBadFramesWithoutMutating) {
-  const std::string path = temp_path("kv_audit");
+  const std::string path = test::temp_path("kv_audit");
   kv::KvStore store;
   ASSERT_TRUE(store.open(path).is_ok());
   ASSERT_TRUE(store.put("a", std::string(200, 'A')).is_ok());
@@ -655,7 +647,7 @@ TEST(KvIntegrity, VerifyLogCountsBadFramesWithoutMutating) {
 }
 
 TEST(JournalIntegrity, TornJournalTailIsReportedThroughLoadReport) {
-  const std::string path = temp_path("journal_torn");
+  const std::string path = test::temp_path("journal_torn");
   {
     fault::MigrationJournal journal;
     ASSERT_TRUE(journal.open(path).is_ok());

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "kv/kvstore.hpp"
+#include "test_paths.hpp"
 
 namespace mha::kv {
 namespace {
@@ -13,8 +14,7 @@ namespace {
 class KvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "kv_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".db";
+    path_ = test::temp_path("kv");
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

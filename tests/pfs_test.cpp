@@ -5,6 +5,7 @@
 
 #include "common/units.hpp"
 #include "pfs/file_system.hpp"
+#include "test_paths.hpp"
 
 namespace mha::pfs {
 namespace {
@@ -59,7 +60,7 @@ TEST(MetadataServer, LayoutCodecRoundTrip) {
 }
 
 TEST(MetadataServer, RstPersistenceSurvivesRestart) {
-  const std::string rst = testing::TempDir() + "mds_rst_test.db";
+  const std::string rst = test::temp_path("mds_rst");
   std::remove(rst.c_str());
   {
     MetadataServer mds(rst);

@@ -8,6 +8,7 @@
 #include "core/pipeline.hpp"
 #include "io/mpi_file.hpp"
 #include "layouts/scheme.hpp"
+#include "test_paths.hpp"
 #include "trace/analysis.hpp"
 
 namespace mha::core {
@@ -225,7 +226,7 @@ TEST(Pipeline, DeployWritesThroughRedirectionConsistently) {
 }
 
 TEST(Pipeline, DeployPersistsDrtWhenAsked) {
-  const std::string drt_path = testing::TempDir() + "pipeline_drt.db";
+  const std::string drt_path = test::temp_path("pipeline_drt");
   std::remove(drt_path.c_str());
   pfs::HybridPfs pfs(small_cluster());
   const auto trace = mini_trace();

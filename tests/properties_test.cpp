@@ -2,9 +2,6 @@
 // hold for EVERY (scheme x workload x cluster shape) combination.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 
 #include "common/crc32.hpp"
@@ -13,6 +10,7 @@
 #include "core/recovery.hpp"
 #include "fault/journal.hpp"
 #include "layouts/scheme.hpp"
+#include "test_paths.hpp"
 #include "trace/analysis.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/btio.hpp"
@@ -188,12 +186,6 @@ INSTANTIATE_TEST_SUITE_P(
 // journal phase (kNone), bitwise-identical logical file contents.
 class RecoveryIdempotence : public ::testing::TestWithParam<const char*> {
  protected:
-  static std::string journal_path() {
-    static std::atomic<int> counter{0};
-    return testing::TempDir() + "prop_recovery_" + std::to_string(::getpid()) + "_" +
-           std::to_string(counter.fetch_add(1)) + ".db";
-  }
-
   /// CRC over every file's name and full logical contents.
   static std::uint32_t fingerprint(pfs::HybridPfs& pfs) {
     std::uint32_t crc = 0;
@@ -213,7 +205,7 @@ class RecoveryIdempotence : public ::testing::TestWithParam<const char*> {
 
 TEST_P(RecoveryIdempotence, SecondRecoveryIsANoOp) {
   const std::string site = GetParam();
-  const std::string path = journal_path();
+  const std::string path = test::temp_path("prop_recovery");
 
   sim::ClusterConfig cluster;
   cluster.num_hservers = 2;

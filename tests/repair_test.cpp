@@ -9,9 +9,6 @@
 // assertion below proves the surviving copy really served the data.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -26,6 +23,7 @@
 #include "layouts/scheme.hpp"
 #include "repair/membership.hpp"
 #include "repair/rebuilder.hpp"
+#include "test_paths.hpp"
 #include "workloads/replayer.hpp"
 
 namespace mha {
@@ -33,12 +31,6 @@ namespace {
 
 using common::OpType;
 using namespace common::literals;
-
-std::string temp_path(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  return testing::TempDir() + "repair_test_" + tag + "_" + std::to_string(::getpid()) +
-         "_" + std::to_string(counter.fetch_add(1)) + ".db";
-}
 
 sim::DeviceProfile slow_device() {
   sim::DeviceProfile d;
@@ -165,7 +157,7 @@ TEST(DrtReplica, ColumnRoundTripAndRetarget) {
   EXPECT_EQ(segs[1].replica, core::kNoRegion);
 
   // Persistence: the replica column survives a save/load round trip.
-  const std::string path = temp_path("drt");
+  const std::string path = test::temp_path("drt");
   {
     kv::KvStore store;
     ASSERT_TRUE(store.open(path).is_ok());
@@ -259,7 +251,7 @@ class RepairTest : public ::testing::Test {
   void TearDown() override { std::remove(journal_path_.c_str()); }
 
   void Build() {
-    journal_path_ = temp_path("rebuild");
+    journal_path_ = test::temp_path("rebuild");
     redirector_.reset();
     membership_.reset();
     pfs_ = std::make_unique<pfs::HybridPfs>(tiny_cluster());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "test_paths.hpp"
 #include "trace/analysis.hpp"
 #include "trace/record.hpp"
 #include "trace/trace_io.hpp"
@@ -92,7 +93,7 @@ TEST(TraceIo, SkipsCommentsAndColumnHeader) {
 }
 
 TEST(TraceIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "trace_io_test.csv";
+  const std::string path = test::temp_path("trace_io", ".csv");
   Trace trace;
   trace.file_name = "x";
   trace.records = {rec(0, OpType::kWrite, 7, 9, 0.25)};
